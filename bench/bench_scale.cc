@@ -1,5 +1,5 @@
 // End-to-end scale benchmark: 100k synthetic records through the full
-// pipeline — generate → feature cache → sharded prefix-join candidates →
+// pipeline — generate → feature cache → candidates (kAuto dispatch) →
 // similarity vectors → grouping → grouped dominance graph → ask-and-color →
 // Power+ resolution — reporting per-stage wall time and the peak-RSS
 // watermark after each stage (ru_maxrss is monotone, so the stage where the
@@ -10,9 +10,8 @@
 //
 // --smoke downscales to 10k records (the `bench_scale_smoke` ctest target);
 // the default is the 100k acceptance run that produces BENCH_scale.json.
-// POWER_SHARDS / POWER_THREADS sweep the shard and thread counts; the bench
-// defaults to 8 shards when POWER_SHARDS is unset (sharding never changes
-// results — tests/shard_invariance_test.cc — so the knob is purely perf).
+// POWER_THREADS sweeps the thread count (results are thread-count-invariant,
+// so the knob is purely perf).
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -21,7 +20,6 @@
 
 #include "bench_util.h"
 
-#include "blocking/shard_planner.h"
 #include "core/power.h"
 #include "crowd/answer_cache.h"
 #include "data/generator.h"
@@ -51,10 +49,10 @@ DatasetProfile ScaledProfile(size_t num_records) {
 
 struct ScaleResult {
   size_t records = 0;
-  int shards = 1;
   int threads = 1;
+  // The candidate engine kAuto resolved to.
+  const char* candidate_method = "?";
   size_t candidate_pairs = 0;
-  size_t boundary_pairs = 0;
   size_t groups = 0;
   size_t edges = 0;
   size_t questions = 0;
@@ -83,10 +81,6 @@ ScaleResult RunScale(size_t num_records, size_t max_questions) {
   PowerConfig config;
   config.candidate_method = CandidateMethod::kAuto;
   config.max_questions = max_questions;
-  // Default to 8 shards when the environment does not choose: the point of
-  // the bench is the sharded path. POWER_SHARDS still wins when set.
-  config.num_shards = EnvIsSet("POWER_SHARDS") ? 0 : 8;
-  out.shards = ResolveNumShards(config.num_shards);
 
   Stopwatch total_watch;
   Stopwatch watch;
@@ -102,14 +96,13 @@ ScaleResult RunScale(size_t num_records, size_t max_questions) {
   watch.Restart();
   CandidateOptions candidate_options;
   candidate_options.all_pairs_cutoff = config.all_pairs_cutoff;
-  candidate_options.num_shards = out.shards;
   CandidateStats candidate_stats;
   std::vector<std::pair<int, int>> candidates =
       GenerateCandidates(features, config.prune_tau, config.candidate_method,
                          candidate_options, &candidate_stats);
   out.candidate_seconds = watch.ElapsedSeconds();
   out.candidate_pairs = candidates.size();
-  out.boundary_pairs = candidate_stats.boundary_pairs;
+  out.candidate_method = CandidateMethodName(candidate_stats.resolved);
   out.rss_after_candidates = PeakRssBytes();
 
   watch.Restart();
@@ -137,9 +130,9 @@ ScaleResult RunScale(size_t num_records, size_t max_questions) {
 
 void PrintResult(const ScaleResult& r) {
   std::printf("records            %12zu\n", r.records);
-  std::printf("shards / threads   %8d / %d\n", r.shards, r.threads);
-  std::printf("candidate pairs    %12zu  (boundary %zu)\n", r.candidate_pairs,
-              r.boundary_pairs);
+  std::printf("threads            %12d\n", r.threads);
+  std::printf("candidate method   %12s\n", r.candidate_method);
+  std::printf("candidate pairs    %12zu\n", r.candidate_pairs);
   std::printf("groups / edges     %10zu / %zu\n", r.groups, r.edges);
   std::printf("questions          %12zu\n", r.questions);
   std::printf("F1                 %12.4f\n", r.f1);
@@ -165,19 +158,19 @@ std::string JsonRow(const ScaleResult& r) {
   char buf[1024];
   std::snprintf(
       buf, sizeof(buf),
-      "    {\"records\": %zu, \"shards\": %d, \"threads\": %d, "
-      "\"candidate_pairs\": %zu, \"boundary_pairs\": %zu, \"groups\": %zu, "
-      "\"edges\": %zu, \"questions\": %zu, \"f1\": %.4f, "
+      "    {\"records\": %zu, \"threads\": %d, "
+      "\"candidate_method\": \"%s\", \"candidate_pairs\": %zu, "
+      "\"groups\": %zu, \"edges\": %zu, \"questions\": %zu, \"f1\": %.4f, "
       "\"generate_seconds\": %.3f, \"feature_seconds\": %.3f, "
       "\"candidate_seconds\": %.3f, \"similarity_seconds\": %.3f, "
       "\"grouping_seconds\": %.3f, \"graph_seconds\": %.3f, "
       "\"resolve_seconds\": %.3f, \"total_seconds\": %.3f, "
       "\"rss_after_generate_mb\": %.1f, \"rss_after_candidates_mb\": %.1f, "
       "\"rss_after_similarity_mb\": %.1f, \"peak_rss_mb\": %.1f}",
-      r.records, r.shards, r.threads, r.candidate_pairs, r.boundary_pairs,
-      r.groups, r.edges, r.questions, r.f1, r.generate_seconds,
-      r.feature_seconds, r.candidate_seconds, r.similarity_seconds,
-      r.grouping_seconds, r.graph_seconds, r.resolve_seconds, r.total_seconds,
+      r.records, r.threads, r.candidate_method, r.candidate_pairs, r.groups,
+      r.edges, r.questions, r.f1, r.generate_seconds, r.feature_seconds,
+      r.candidate_seconds, r.similarity_seconds, r.grouping_seconds,
+      r.graph_seconds, r.resolve_seconds, r.total_seconds,
       r.rss_after_generate / (1024.0 * 1024.0),
       r.rss_after_candidates / (1024.0 * 1024.0),
       r.rss_after_similarity / (1024.0 * 1024.0),
@@ -186,7 +179,7 @@ std::string JsonRow(const ScaleResult& r) {
 }
 
 int Run(size_t num_records, const char* json_path) {
-  PrintTitle("End-to-end scale run (sharded blocking + arena-backed graph)");
+  PrintTitle("End-to-end scale run (blocking + arena-backed graph)");
   // The question budget keeps crowd cost (and the serve loop) bounded at
   // scale; the Power+ histogram settles whatever the budget leaves, which is
   // the paper's budgeted deployment mode.
@@ -203,8 +196,8 @@ int Run(size_t num_records, const char* json_path) {
     std::fprintf(f, "[\n%s\n]\n", JsonRow(r).c_str());
     std::fclose(f);
   }
-  // Sanity gates so benchmark rot is loud: the pipeline must actually find
-  // duplicates and must not fall back to the quadratic scan.
+  // Sanity gate so benchmark rot is loud: the run must produce candidate
+  // pairs and find duplicates (F1 > 0).
   if (r.candidate_pairs == 0 || r.f1 <= 0.0) {
     std::fprintf(stderr, "FAIL: degenerate scale run (pairs=%zu f1=%.3f)\n",
                  r.candidate_pairs, r.f1);

@@ -9,9 +9,10 @@
 //
 // Flags: --tau=0.3 --eps=0.1 --band=90 --selector=topo|single|multi|random
 //        --plus (error tolerance) --budget=N --seed=N --out=clusters.csv
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "eval/cluster_metrics.h"
 #include "eval/ground_truth.h"
 #include "eval/metrics.h"
+#include "util/env.h"
 #include "util/strings.h"
 
 namespace {
@@ -49,6 +51,14 @@ bool ParseFlag(const std::string& arg, const char* name, std::string* value) {
   return true;
 }
 
+// Reports a malformed or out-of-range numeric flag value.
+bool RejectValue(const char* name, const std::string& value,
+                 const char* want) {
+  std::fprintf(stderr, "bad --%s value '%s' (want %s)\n", name,
+               value.c_str(), want);
+  return false;
+}
+
 bool ParseArgs(int argc, char** argv, CliOptions* opts) {
   for (int a = 1; a < argc; ++a) {
     std::string arg = argv[a];
@@ -58,15 +68,29 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts) {
     } else if (arg == "--plus") {
       opts->error_tolerant = true;
     } else if (ParseFlag(arg, "tau", &value)) {
-      opts->tau = std::atof(value.c_str());
+      std::optional<double> v = ParseDouble(value);
+      if (!v || *v <= 0.0 || *v > 1.0) {
+        return RejectValue("tau", value, "a number in (0, 1]");
+      }
+      opts->tau = *v;
     } else if (ParseFlag(arg, "eps", &value)) {
-      opts->eps = std::atof(value.c_str());
+      std::optional<double> v = ParseDouble(value);
+      if (!v || *v < 0.0) return RejectValue("eps", value, "a number >= 0");
+      opts->eps = *v;
     } else if (ParseFlag(arg, "band", &value)) {
-      opts->band = std::atoi(value.c_str());
+      std::optional<int64_t> v = ParseInt(value);
+      if (!v || *v < 0 || *v > 100) {
+        return RejectValue("band", value, "an integer in [0, 100]");
+      }
+      opts->band = static_cast<int>(*v);
     } else if (ParseFlag(arg, "budget", &value)) {
-      opts->budget = static_cast<size_t>(std::atoll(value.c_str()));
+      std::optional<int64_t> v = ParseInt(value);
+      if (!v || *v < 0) return RejectValue("budget", value, "an integer >= 0");
+      opts->budget = static_cast<size_t>(*v);
     } else if (ParseFlag(arg, "seed", &value)) {
-      opts->seed = static_cast<uint64_t>(std::atoll(value.c_str()));
+      std::optional<int64_t> v = ParseInt(value);
+      if (!v || *v < 0) return RejectValue("seed", value, "an integer >= 0");
+      opts->seed = static_cast<uint64_t>(*v);
     } else if (ParseFlag(arg, "out", &value)) {
       opts->out_path = value;
     } else if (ParseFlag(arg, "selector", &value)) {

@@ -4,10 +4,12 @@
 // largest resolved duplicate groups.
 //
 //   build/examples/restaurant_dedup [num_records]
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "blocking/pair_generator.h"
@@ -17,14 +19,21 @@
 #include "data/generator.h"
 #include "eval/ground_truth.h"
 #include "eval/metrics.h"
+#include "util/env.h"
 
 int main(int argc, char** argv) {
   using namespace power;
 
   DatasetProfile profile = RestaurantProfile();
   if (argc > 1) {
-    profile.num_records = static_cast<size_t>(std::atoi(argv[1]));
-    profile.num_entities = profile.num_records * 7 / 8;
+    std::optional<int64_t> n = ParseInt(argv[1]);
+    if (!n || *n < 2) {
+      std::fprintf(stderr, "bad num_records '%s' (want an integer >= 2)\n",
+                   argv[1]);
+      return 2;
+    }
+    profile.num_records = static_cast<size_t>(*n);
+    profile.num_entities = std::max<size_t>(1, profile.num_records * 7 / 8);
   }
   Table catalog = DatasetGenerator(/*seed=*/7).Generate(profile);
   std::printf("catalog: %zu listings, %zu true restaurants\n",

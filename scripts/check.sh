@@ -3,8 +3,8 @@
 #   main  (build/)       regular build + full ctest suite;
 #   tsan  (build-tsan/)  ThreadSanitizer over the parallel differential,
 #                        determinism, fuzz, and pool tests (the PR gate for
-#                        every change touching util/parallel.h or a sharded
-#                        hot path);
+#                        every change touching util/parallel.h or a
+#                        parallel hot path);
 #   asan  (build-asan/)  ASan+UBSan (POWER_SANITIZE=address) over the full
 #                        suite — memory errors and UB at -O0-ish codegen;
 #   ubsan (build-ubsan/) UBSan alone (POWER_SANITIZE=undefined) at -O2 over
@@ -76,12 +76,11 @@ esac
 # (fault-injected serve loops must stay byte-identical at 1/2/8 threads),
 # plus the SIMD differential layer (scalar vs AVX2 kernels and the dispatch
 # invariance suite — dispatch resolution itself is a racy first-call CAS),
-# and the sharding layer (Shard*: per-shard join/graph tasks run on the pool
-# and must merge byte-identically; Arena*: the aligned-allocation substrate
-# those tasks allocate through; bench_scale_smoke: the 10k end-to-end scale
-# run, whose sharded candidate/graph stages are the newest pool consumers).
+# the aligned-allocation substrate (Arena*: the CSR freeze and feature cache
+# allocate through it from pool tasks), and bench_scale_smoke (the 10k
+# end-to-end scale run, every pool consumer on one table).
 # ctest filters by gtest-discovered *test* names, not binary names.
-PARALLEL_TESTS='Parallel|ColoringFuzz|SelectionLoop|FeatureCache|EditDistanceFuzz|FaultSweep|SimdKernels|SimdDispatch|Shard|Arena|bench_scale_smoke'
+PARALLEL_TESTS='Parallel|ColoringFuzz|SelectionLoop|FeatureCache|EditDistanceFuzz|FaultSweep|SimdKernels|SimdDispatch|Arena|bench_scale_smoke'
 
 if [[ "$RUN_MAIN" == 1 ]]; then
   echo "== build (default flags) =="

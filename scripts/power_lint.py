@@ -74,7 +74,8 @@ Rules:
                    or use operator[] with POWER_CHECK.
 
   env-read         No std::getenv / secure_getenv outside util/env.{h,cc},
-                   and no ato{i,f,l,ll} anywhere in src/ or bench/: knobs
+                   and no ato{i,f,l,ll} anywhere in src/, bench/ or
+                   examples/: knobs
                    resolve through the typed util/env.h accessors (range
                    validation, malformed-input warnings, POWER_VERBOSE
                    resolved-value logging, one documented registry); data
@@ -105,7 +106,7 @@ Usage:
     scripts/power_lint.py [--compile-commands build/compile_commands.json]
                           [--mode auto|ast|regex] [--regex-fallback]
                           [--budget-seconds N] [--no-summary]
-                          [ROOT ...]        # default roots: src tests bench
+                          [ROOT ...]  # default roots: src tests bench examples
 Exit status:
     0  clean
     1  findings (or wall-time budget exceeded)
@@ -157,6 +158,10 @@ def in_bench(rel):
     return norm(rel).startswith("bench/")
 
 
+def in_examples(rel):
+    return norm(rel).startswith("examples/")
+
+
 def is_rule_home(rel, rule):
     """True when `rel` is the sanctioned home of the construct `rule` bans."""
     r = norm(rel)
@@ -183,8 +188,11 @@ def rule_applies(rel, rule):
     """File scoping: which tree each rule polices (before home exemptions)."""
     if rule in ("unordered-iter", "raw-arena", "raw-io"):
         return in_src(rel)
-    if rule in ("float-reduce", "task-noexcept", "env-read"):
+    if rule in ("float-reduce", "task-noexcept"):
         return in_src(rel) or in_bench(rel)
+    if rule == "env-read":
+        # examples/ parse user-supplied flags: the same strict parsers apply.
+        return in_src(rel) or in_bench(rel) or in_examples(rel)
     # raw-random / naked-thread / wall-clock / raw-simd: everywhere scanned
     # (tests and benches must not fork the determinism substrate either).
     return True
@@ -1032,12 +1040,14 @@ def main(argv):
     parser.add_argument("--no-summary", action="store_true",
                         help="suppress the per-rule summary table")
     parser.add_argument("roots", nargs="*", default=None,
-                        help="directories to scan (default: src tests bench)")
+                        help="directories to scan (default: src tests "
+                             "bench examples)")
     args = parser.parse_args(argv)
 
     started = time.monotonic()
     repo = REPO
-    roots = args.roots if args.roots else ["src", "tests", "bench"]
+    roots = args.roots if args.roots else ["src", "tests", "bench",
+                                           "examples"]
     # When pointed at a fixture tree (the lint's own test), treat the first
     # root's parent as the repo so src/-relative rules resolve there.
     if args.roots and os.path.isabs(args.roots[0]):

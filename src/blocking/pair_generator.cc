@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "blocking/prefix_join.h"
-#include "blocking/shard_planner.h"
 #include "sim/simd_kernels.h"
 #include "sim/similarity_matrix.h"
 #include "util/env.h"
@@ -79,29 +78,18 @@ std::vector<std::pair<int, int>> GenerateCandidates(
                    ? CandidateMethod::kPrefixJoin
                    : CandidateMethod::kAllPairs;
   }
-  CandidateStats local;
-  local.resolved = resolved;
-  std::vector<std::pair<int, int>> out;
-  if (resolved == CandidateMethod::kAllPairs) {
-    out = AllPairsCandidates(features, tau);
-  } else if (options.num_shards > 1) {
-    ShardedCandidates sharded =
-        ShardedPrefixJoin(features, tau, options.num_shards);
-    local.num_shards = options.num_shards;
-    local.boundary_pairs = sharded.boundary.size();
-    out = std::move(sharded.merged);
-  } else {
-    out = PrefixFilterJoin(features, tau);
-  }
+  std::vector<std::pair<int, int>> out =
+      resolved == CandidateMethod::kAllPairs
+          ? AllPairsCandidates(features, tau)
+          : PrefixFilterJoin(features, tau);
   if (EnvVerbose()) {
     std::fprintf(stderr,
                  "power: candidates: method=%s resolved=%s records=%zu "
-                 "shards=%d pairs=%zu boundary=%zu\n",
+                 "pairs=%zu\n",
                  CandidateMethodName(method), CandidateMethodName(resolved),
-                 features.num_records(), local.num_shards, out.size(),
-                 local.boundary_pairs);
+                 features.num_records(), out.size());
   }
-  if (stats != nullptr) *stats = local;
+  if (stats != nullptr) stats->resolved = resolved;
   return out;
 }
 

@@ -3,17 +3,35 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
+#include <vector>
 
 #include "sim/tokenizer.h"
 #include "util/check.h"
 
 namespace power {
+namespace {
 
-PrefixJoinWorkspace BuildPrefixJoinWorkspace(const FeatureCache& features,
-                                             double tau) {
-  POWER_CHECK(tau > 0.0 && tau <= 1.0);
-  PrefixJoinWorkspace ws;
+// The join's precomputed per-record state.
+struct Workspace {
+  // Per record: its sorted-unique tokens mapped to global frequency ranks
+  // (rarer token == smaller rank, ties broken by token bytes), ascending.
+  std::vector<std::vector<int32_t>> tokens;
+  // Per record: its prefix length |x| - ceil(tau*|x|) + 1 (0 for token-less
+  // records). The prefix is tokens[i][0 .. prefix_len[i]).
+  std::vector<size_t> prefix_len;
+  // All records in processing order: increasing token count, ties by id.
+  // The index-nested-loop join must process records in this order so the
+  // one-sided length filter stays sound.
+  std::vector<int> order;
+  double tau = 0.0;
+};
+
+// Document frequencies, (frequency, bytes) token ranking, rank-space token
+// vectors, prefix lengths, processing order.
+Workspace BuildWorkspace(const FeatureCache& features, double tau) {
+  Workspace ws;
   ws.tau = tau;
   const int n = static_cast<int>(features.num_records());
 
@@ -45,7 +63,6 @@ PrefixJoinWorkspace BuildPrefixJoinWorkspace(const FeatureCache& features,
   for (size_t r = 0; r < used.size(); ++r) {
     rank[static_cast<size_t>(used[r])] = static_cast<int32_t>(r);
   }
-  ws.num_ranks = used.size();
   ws.tokens.resize(static_cast<size_t>(n));
   ws.prefix_len.resize(static_cast<size_t>(n), 0);
   for (int i = 0; i < n; ++i) {
@@ -74,17 +91,20 @@ PrefixJoinWorkspace BuildPrefixJoinWorkspace(const FeatureCache& features,
   return ws;
 }
 
-void JoinOrderedSubset(const PrefixJoinWorkspace& workspace,
-                       std::span<const int> subset,
-                       std::vector<std::pair<int, int>>* out) {
+// The index-nested-loop join over the processing order. Appends every
+// verified pair (min, max) to *out, in discovery order. Token-less records
+// never enter the index (see AppendEmptyRecordPairs).
+void JoinInOrder(const Workspace& workspace,
+                 std::vector<std::pair<int, int>>* out) {
   const double tau = workspace.tau;
-  // Inverted index: token rank -> subset records whose *prefix* contains it.
+  // Inverted index: token rank -> records whose *prefix* contains it.
   std::unordered_map<int32_t, std::vector<int>> index;
-  // Probe-stamped candidate dedup, keyed by subset step.
+  // Probe-stamped candidate dedup, keyed by processing step.
   std::vector<int> last_seen(workspace.tokens.size(), -1);
 
-  for (int step = 0; step < static_cast<int>(subset.size()); ++step) {
-    const int x = subset[static_cast<size_t>(step)];
+  for (int step = 0; step < static_cast<int>(workspace.order.size());
+       ++step) {
+    const int x = workspace.order[static_cast<size_t>(step)];
     const auto& tx = workspace.tokens[static_cast<size_t>(x)];
     if (tx.empty()) continue;
     const size_t len_x = tx.size();
@@ -126,7 +146,10 @@ void JoinOrderedSubset(const PrefixJoinWorkspace& workspace,
   }
 }
 
-void AppendEmptyRecordPairs(const PrefixJoinWorkspace& workspace,
+// The record-level prune defines Jaccard(∅, ∅) = 1, so when tau permits,
+// every pair of token-less records is a candidate. Appends those pairs
+// (they never enter the token index).
+void AppendEmptyRecordPairs(const Workspace& workspace,
                             std::vector<std::pair<int, int>>* out) {
   if (!RecordJaccardAtLeast(0, 0, 0, workspace.tau)) return;
   std::vector<int> empty_records;
@@ -142,11 +165,14 @@ void AppendEmptyRecordPairs(const PrefixJoinWorkspace& workspace,
   }
 }
 
+}  // namespace
+
 std::vector<std::pair<int, int>> PrefixFilterJoin(const FeatureCache& features,
                                                   double tau) {
-  PrefixJoinWorkspace ws = BuildPrefixJoinWorkspace(features, tau);
+  POWER_CHECK(tau > 0.0 && tau <= 1.0);
+  const Workspace ws = BuildWorkspace(features, tau);
   std::vector<std::pair<int, int>> result;
-  JoinOrderedSubset(ws, ws.order, &result);
+  JoinInOrder(ws, &result);
   AppendEmptyRecordPairs(ws, &result);
   std::sort(result.begin(), result.end());
   return result;

@@ -1,8 +1,6 @@
 #ifndef POWER_BLOCKING_PREFIX_JOIN_H_
 #define POWER_BLOCKING_PREFIX_JOIN_H_
 
-#include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -32,49 +30,6 @@ std::vector<std::pair<int, int>> PrefixFilterJoin(const FeatureCache& features,
 /// Convenience wrapper: builds a FeatureCache and joins.
 std::vector<std::pair<int, int>> PrefixFilterJoin(const Table& table,
                                                   double tau);
-
-/// The join's precomputed per-record state, shared verbatim between the
-/// monolithic join above and the sharded planner (blocking/shard_planner.h).
-/// Factoring it out is what makes the sharded path *structurally* identical
-/// to the monolithic one: both consume the same global token ranking, the
-/// same rank-space token vectors, and the same prefix lengths — there is no
-/// second implementation of any filter to drift.
-struct PrefixJoinWorkspace {
-  /// Per record: its sorted-unique tokens mapped to global frequency ranks
-  /// (rarer token == smaller rank, ties broken by token bytes), ascending.
-  std::vector<std::vector<int32_t>> tokens;
-  /// Per record: its prefix length |x| - ceil(tau*|x|) + 1 (0 for token-less
-  /// records). The prefix is tokens[i][0 .. prefix_len[i]).
-  std::vector<size_t> prefix_len;
-  /// All records in processing order: increasing token count, ties by id.
-  /// The index-nested-loop join must process records in this order so the
-  /// one-sided length filter stays sound.
-  std::vector<int> order;
-  /// Number of distinct ranks (== distinct tokens occurring in any record).
-  size_t num_ranks = 0;
-  double tau = 0.0;
-};
-
-/// Builds the workspace: document frequencies, (frequency, bytes) token
-/// ranking, rank-space token vectors, prefix lengths, processing order.
-PrefixJoinWorkspace BuildPrefixJoinWorkspace(const FeatureCache& features,
-                                             double tau);
-
-/// Runs the index-nested-loop prefix join over `subset`, a subsequence of
-/// workspace.order (records in processing order). Appends every verified
-/// pair (min, max) of subset records to *out, in discovery order. Token-less
-/// records never match here (see AppendEmptyRecordPairs). The filters and
-/// the verification are the exact monolithic predicates: a pair of subset
-/// records is emitted iff the full join would emit it.
-void JoinOrderedSubset(const PrefixJoinWorkspace& workspace,
-                       std::span<const int> subset,
-                       std::vector<std::pair<int, int>>* out);
-
-/// The record-level prune defines Jaccard(∅, ∅) = 1, so when tau permits,
-/// every pair of token-less records is a candidate. Appends those pairs
-/// (they never enter the token index). Shared by both join paths.
-void AppendEmptyRecordPairs(const PrefixJoinWorkspace& workspace,
-                            std::vector<std::pair<int, int>>* out);
 
 }  // namespace power
 

@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 
-#include "blocking/shard_planner.h"
 #include "graph/builder.h"
 #include "group/greedy_grouper.h"
 #include "group/grouped_graph.h"
@@ -105,7 +104,7 @@ uint64_t FnvMix(uint64_t h, const T& v) {
 /// Binds a checkpoint to the exact job that wrote it: the loop-relevant
 /// configuration plus the full pair list (ids and similarity bit
 /// patterns). Machine-side knobs that cannot change the loop's draws or
-/// answers (num_threads, num_shards, timing) are deliberately excluded so
+/// answers (num_threads, timing) are deliberately excluded so
 /// a resume may legally run at a different thread count.
 uint64_t JobFingerprint(const PowerConfig& config,
                         const std::vector<SimilarPair>& pairs) {
@@ -147,7 +146,6 @@ PowerResult PowerFramework::Run(const Table& table,
   FeatureCache features(table);
   CandidateOptions candidate_options;
   candidate_options.all_pairs_cutoff = config_.all_pairs_cutoff;
-  candidate_options.num_shards = ResolveNumShards(config_.num_shards);
   CandidateStats candidate_stats;
   std::vector<std::pair<int, int>> candidates =
       GenerateCandidates(features, config_.prune_tau, config_.candidate_method,
@@ -161,7 +159,6 @@ PowerResult PowerFramework::Run(const Table& table,
   result.pruning_seconds = pruning_seconds;
   result.similarity_seconds = similarity_seconds;
   result.candidate_method = CandidateMethodName(candidate_stats.resolved);
-  result.boundary_pairs = candidate_stats.boundary_pairs;
   return result;
 }
 
@@ -200,9 +197,7 @@ RunOnPairsJob::RunOnPairsJob(const PowerConfig& config,
       rng_(config.seed) {
   POWER_CHECK(oracle != nullptr);
   POWER_CHECK(config_.max_ask_attempts >= 1);
-  const int num_shards = ResolveNumShards(config_.num_shards);
   result_.num_threads = NumThreads();
-  result_.num_shards = num_shards;
   result_.num_pairs = pairs.size();
   if (pairs.empty()) {
     phase_ = RunPhase::kDone;
@@ -221,7 +216,7 @@ RunOnPairsJob::RunOnPairsJob(const PowerConfig& config,
     // The graph takes ownership of the local copy; the pair sims are read
     // back through grouped_.graph.all_sims() below.
     grouped_ = BuildUngrouped(*MakeBuilder(config_.builder, rng_.Fork()),
-                              std::move(sims_), num_shards);
+                              std::move(sims_));
     result_.graph_seconds = graph_watch.ElapsedSeconds();
   } else {
     std::unique_ptr<Grouper> grouper;
@@ -233,7 +228,7 @@ RunOnPairsJob::RunOnPairsJob(const PowerConfig& config,
     std::vector<VertexGroup> groups = grouper->Group(sims_, config_.epsilon);
     result_.grouping_seconds = grouping_watch.ElapsedSeconds();
     Stopwatch graph_watch;
-    grouped_ = BuildGroupedGraph(std::move(groups), num_shards);
+    grouped_ = BuildGroupedGraph(std::move(groups));
     result_.graph_seconds = graph_watch.ElapsedSeconds();
   }
   result_.num_groups = grouped_.groups.size();

@@ -86,19 +86,10 @@ struct PowerConfig {
   /// Threads for the machine-side hot paths (candidate generation,
   /// similarity vectors, graph construction). 0 = process default
   /// (POWER_THREADS env var, else hardware concurrency); 1 = the exact
-  /// serial path. Parallelism never changes results: every sharded loop
+  /// serial path. Parallelism never changes results: every parallel loop
   /// merges per-chunk output deterministically, so PowerResult is identical
   /// at any thread count (tests/parallel_determinism_test.cc).
   int num_threads = 0;
-
-  /// Shards for the scale-out machine-side stages: the prefix-join candidate
-  /// generation (blocking/shard_planner.h) and the dominance-graph builds
-  /// (graph/sharded_builder.h, group/grouped_graph.h). 0 = process default
-  /// (POWER_SHARDS env var, else 1); 1 = the exact monolithic path. Like
-  /// num_threads, the shard count never changes results: the sharded paths
-  /// are proven byte-identical to the monolithic ones
-  /// (tests/shard_invariance_test.cc).
-  int num_shards = 0;
 };
 
 /// Pipeline outcome: the common ER result plus pipeline statistics used by
@@ -118,12 +109,8 @@ struct PowerResult : ErResult {
   double similarity_seconds = 0.0;
   /// Resolved thread count the machine-side stages ran with.
   int num_threads = 1;
-  /// Resolved shard count the sharded stages ran with.
-  int num_shards = 1;
   /// Candidate method that actually ran (kAuto resolved; Run only).
   const char* candidate_method = "?";
-  /// Cross-shard boundary candidate pairs (sharded prefix join; Run only).
-  size_t boundary_pairs = 0;
 };
 
 /// Phases of the resumable ask-and-color loop, in execution order. One

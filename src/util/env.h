@@ -29,7 +29,7 @@ namespace power {
 /// Accessors re-read the environment on every call (no internal caching):
 /// tests toggle knobs with setenv/unsetenv, and each call site decides for
 /// itself whether its knob is read-once (e.g. the thread count caches in a
-/// function-local static) or per-use (e.g. POWER_SHARDS resolution).
+/// function-local static) or per-use (e.g. POWER_CHECKPOINT resolution).
 
 /// Full-token integer parse: optional sign, decimal digits, nothing else.
 /// Rejects "4x", "", " 4". Returns nullopt on any malformed input.

@@ -95,5 +95,28 @@ TEST(GenerateCandidatesTest, DispatchAgrees) {
   EXPECT_EQ(a, b);
 }
 
+TEST(GenerateCandidatesTest, AutoDispatchesByRecordCountAndCutoff) {
+  DatasetProfile p = RestaurantProfile();
+  p.num_records = 64;
+  p.num_entities = 40;
+  Table t = DatasetGenerator(5).Generate(p);
+  FeatureCache features(t);
+  CandidateOptions options;
+  CandidateStats stats;
+
+  options.all_pairs_cutoff = 1000;  // 64 records <= cutoff -> quadratic scan
+  auto a = GenerateCandidates(features, 0.3, CandidateMethod::kAuto, options,
+                              &stats);
+  EXPECT_EQ(stats.resolved, CandidateMethod::kAllPairs);
+
+  options.all_pairs_cutoff = 10;  // 64 records > cutoff -> prefix join
+  auto b = GenerateCandidates(features, 0.3, CandidateMethod::kAuto, options,
+                              &stats);
+  EXPECT_EQ(stats.resolved, CandidateMethod::kPrefixJoin);
+
+  // The dispatch is invisible in the results.
+  EXPECT_EQ(a, b);
+}
+
 }  // namespace
 }  // namespace power

@@ -6,6 +6,7 @@
 // permitted difference.
 #include <algorithm>
 #include <cstdint>
+#include <ostream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -70,6 +71,11 @@ struct PipelineCase {
   size_t max_questions;
   double accuracy;
 };
+
+// Without this gtest prints the raw bytes of the case, `label`'s address
+// included, and that address (hence the discovered ctest name) changes with
+// every run under ASLR.
+void PrintTo(const PipelineCase& c, std::ostream* os) { *os << c.label; }
 
 class ParallelDeterminism : public ::testing::TestWithParam<PipelineCase> {};
 

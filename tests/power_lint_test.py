@@ -223,6 +223,25 @@ const char* EnvRaw(const char* name) { return std::getenv(name); }
 }  // namespace power
 """
 
+# A command-line flag parsed with atof: "--tau=abc" silently becomes 0.
+ENV_READ_EXAMPLE_BAD = """\
+#include <cstdlib>
+#include <string>
+
+double Tau(const std::string& value) { return std::atof(value.c_str()); }
+"""
+
+ENV_READ_EXAMPLE_GOOD = """\
+#include <optional>
+#include <string>
+
+#include "util/env.h"
+
+std::optional<double> Tau(const std::string& value) {
+  return power::ParseDouble(value);
+}
+"""
+
 STALE_ALLOW = """\
 int Fine(int x) {
   // power-lint: allow(raw-random) — nothing random here anymore.
@@ -332,7 +351,7 @@ def main():
                   0, forbid_rules=("task-noexcept",))
 
     # 8. env-read: raw getenv/atoi in src/ fails; util/env.{h,cc} is the
-    #    sanctioned home; tests/ are out of scope.
+    #    sanctioned home; tests/ are out of scope; examples/ are in scope.
     check_fixture("env-read bad", {"src/knobs.cc": ENV_READ_BAD}, 1,
                   expect_rules=("env-read",))
     check_fixture("env-read home exempt",
@@ -340,6 +359,14 @@ def main():
                   forbid_rules=("env-read",))
     check_fixture("env-read tests out of scope",
                   {"tests/helper.cc": ENV_READ_BAD}, 0,
+                  forbid_rules=("env-read",))
+    #    examples/ parse user flags: ato* fails there, the strict parser
+    #    passes.
+    check_fixture("env-read examples bad",
+                  {"examples/cli.cpp": ENV_READ_EXAMPLE_BAD}, 1,
+                  expect_rules=("env-read",))
+    check_fixture("env-read examples good",
+                  {"examples/cli.cpp": ENV_READ_EXAMPLE_GOOD}, 0,
                   forbid_rules=("env-read",))
 
     # 9. raw-io: ad-hoc writes in src/ fail; read-only opens pass;
