@@ -94,12 +94,10 @@ ScaleResult RunScale(size_t num_records, size_t max_questions) {
   out.feature_seconds = watch.ElapsedSeconds();
 
   watch.Restart();
-  CandidateOptions candidate_options;
-  candidate_options.all_pairs_cutoff = config.all_pairs_cutoff;
   CandidateStats candidate_stats;
   std::vector<std::pair<int, int>> candidates =
       GenerateCandidates(features, config.prune_tau, config.candidate_method,
-                         candidate_options, &candidate_stats);
+                         CandidateOptions{}, &candidate_stats);
   out.candidate_seconds = watch.ElapsedSeconds();
   out.candidate_pairs = candidates.size();
   out.candidate_method = CandidateMethodName(candidate_stats.resolved);
@@ -179,7 +177,7 @@ std::string JsonRow(const ScaleResult& r) {
 }
 
 int Run(size_t num_records, const char* json_path) {
-  PrintTitle("End-to-end scale run (blocking + arena-backed graph)");
+  PrintTitle("End-to-end scale run (blocking + grouped graph + resolve)");
   // The question budget keeps crowd cost (and the serve loop) bounded at
   // scale; the Power+ histogram settles whatever the budget leaves, which is
   // the paper's budgeted deployment mode.

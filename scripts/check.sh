@@ -76,11 +76,10 @@ esac
 # (fault-injected serve loops must stay byte-identical at 1/2/8 threads),
 # plus the SIMD differential layer (scalar vs AVX2 kernels and the dispatch
 # invariance suite — dispatch resolution itself is a racy first-call CAS),
-# the aligned-allocation substrate (Arena*: the CSR freeze and feature cache
-# allocate through it from pool tasks), and bench_scale_smoke (the 10k
-# end-to-end scale run, every pool consumer on one table).
+# and bench_scale_smoke (the 10k end-to-end scale run, every pool consumer
+# on one table).
 # ctest filters by gtest-discovered *test* names, not binary names.
-PARALLEL_TESTS='Parallel|ColoringFuzz|SelectionLoop|FeatureCache|EditDistanceFuzz|FaultSweep|SimdKernels|SimdDispatch|Arena|bench_scale_smoke'
+PARALLEL_TESTS='Parallel|ColoringFuzz|SelectionLoop|FeatureCache|EditDistanceFuzz|FaultSweep|SimdKernels|SimdDispatch|bench_scale_smoke'
 
 if [[ "$RUN_MAIN" == 1 ]]; then
   echo "== build (default flags) =="

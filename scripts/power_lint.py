@@ -51,9 +51,8 @@ Rules:
 
   raw-arena        No raw aligned/page allocation calls (aligned_alloc,
                    posix_memalign, memalign, valloc, mmap, munmap, madvise)
-                   in src/ outside util/arena.{h,cc}: alignment, hugepage
-                   opt-in, fallback, and ASan poisoning stay in one audited
-                   place.
+                   anywhere in src/: flat arrays are plain std::vector, whose
+                   operator new storage ASan already checks.
 
   float-reduce     No compound assignment (+= -= *= /=) on a floating-point
                    variable captured from outside a ParallelFor / pool-task
@@ -173,8 +172,6 @@ def is_rule_home(rel, rule):
         return bool(re.search(r"(^|/)util/stopwatch\.h$", r))
     if rule == "raw-simd":
         return bool(re.search(r"(^|/)sim/simd_kernels[^/]*\.(h|cc)$", r))
-    if rule == "raw-arena":
-        return bool(re.search(r"(^|/)util/arena\.(h|cc)$", r))
     if rule == "env-read":
         return bool(re.search(r"(^|/)util/env\.(h|cc)$", r))
     if rule == "raw-io":
@@ -217,9 +214,8 @@ MESSAGES = {
         "behind the dispatched kernel API (sim/simd_kernels.h) with a "
         "scalar reference"),
     "raw-arena": (
-        "raw aligned/page allocation — hot-path arrays allocate through "
-        "arena::Alloc/ArenaVector (util/arena.h) so alignment, hugepage "
-        "opt-in, and fallback stay in one audited place"),
+        "raw aligned/page allocation — flat arrays in src/ are plain "
+        "std::vector (no custom allocator has paid on a bench row)"),
     "float-reduce": (
         "floating-point accumulation into captured '{what}' inside a "
         "pool-task lambda — FP addition does not commute across chunk "
@@ -232,8 +228,8 @@ MESSAGES = {
         "pre-validate inputs or use operator[] with POWER_CHECK"),
     "env-read": (
         "raw environment/number parsing '{what}' — POWER_* knobs resolve "
-        "through the typed util/env.h accessors (EnvInt/EnvDouble/EnvBool/"
-        "EnvEnum); data parses through power::ParseInt/ParseDouble"),
+        "through the util/env.h accessors (EnvInt/EnvDouble, or EnvRaw for "
+        "a bespoke grammar); data parses through power::ParseInt/ParseDouble"),
     "raw-io": (
         "raw file write '{what}' — durable state in src/ persists through "
         "the atomic snapshot layer (util/snapshot.h: write-temp + fsync + "
@@ -564,9 +560,7 @@ def regex_check_file(path, rel, findings):
             findings.add(rel, idx + 1, "wall-clock")
         if not is_rule_home(rel, "raw-simd") and RAW_SIMD.search(line):
             findings.add(rel, idx + 1, "raw-simd")
-        if (rule_applies(rel, "raw-arena") and
-                not is_rule_home(rel, "raw-arena") and
-                RAW_ARENA.search(line)):
+        if rule_applies(rel, "raw-arena") and RAW_ARENA.search(line):
             findings.add(rel, idx + 1, "raw-arena")
         if (rule_applies(rel, "env-read") and
                 not is_rule_home(rel, "env-read")):
@@ -851,8 +845,7 @@ class AstEngine:
                         not is_rule_home(rel, "raw-simd"):
                     self.findings.add(rel, line, "raw-simd")
                 if name in ARENA_CALLS and \
-                        rule_applies(rel, "raw-arena") and \
-                        not is_rule_home(rel, "raw-arena"):
+                        rule_applies(rel, "raw-arena"):
                     self.findings.add(rel, line, "raw-arena")
                 if name in ENV_CALLS and \
                         rule_applies(rel, "env-read") and \

@@ -48,7 +48,7 @@ struct CandidateOptions {
   size_t all_pairs_cutoff = 2048;
 };
 
-/// What GenerateCandidates actually did (for PowerResult / bench reporting).
+/// What GenerateCandidates actually did (for bench reporting).
 struct CandidateStats {
   /// The method that ran — never kAuto.
   CandidateMethod resolved = CandidateMethod::kAllPairs;

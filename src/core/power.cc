@@ -141,25 +141,13 @@ PowerResult PowerFramework::Run(const Table& table,
                                 PairOracle* oracle) const {
   ScopedNumThreads thread_scope(config_.num_threads);
   // One feature cache feeds both the pruning scan and the per-pair
-  // similarity vectors; its build cost is charged to the pruning stage.
-  Stopwatch prune_watch;
+  // similarity vectors.
   FeatureCache features(table);
-  CandidateOptions candidate_options;
-  candidate_options.all_pairs_cutoff = config_.all_pairs_cutoff;
-  CandidateStats candidate_stats;
   std::vector<std::pair<int, int>> candidates =
-      GenerateCandidates(features, config_.prune_tau, config_.candidate_method,
-                         candidate_options, &candidate_stats);
-  double pruning_seconds = prune_watch.ElapsedSeconds();
-  Stopwatch sim_watch;
+      GenerateCandidates(features, config_.prune_tau, config_.candidate_method);
   std::vector<SimilarPair> pairs =
       ComputePairSimilarities(features, candidates, config_.component_floor);
-  double similarity_seconds = sim_watch.ElapsedSeconds();
-  PowerResult result = RunOnPairs(pairs, oracle);
-  result.pruning_seconds = pruning_seconds;
-  result.similarity_seconds = similarity_seconds;
-  result.candidate_method = CandidateMethodName(candidate_stats.resolved);
-  return result;
+  return RunOnPairs(pairs, oracle);
 }
 
 PowerResult PowerFramework::RunOnPairs(const std::vector<SimilarPair>& pairs,

@@ -36,14 +36,11 @@ struct PowerConfig {
   // Pruning (§7.1): record-level Jaccard threshold and per-attribute floor.
   double prune_tau = 0.3;
   double component_floor = 0.2;
-  /// kAuto dispatches by record count (see all_pairs_cutoff); the explicit
-  /// methods pin one path. All three settings produce the identical sorted
-  /// candidate vector — the knob is purely a performance choice.
+  /// kAuto dispatches by record count (CandidateOptions::all_pairs_cutoff);
+  /// the explicit methods pin one path. All three settings produce the
+  /// identical sorted candidate vector — the knob is purely a performance
+  /// choice.
   CandidateMethod candidate_method = CandidateMethod::kAuto;
-  /// kAuto threshold: tables with more records than this use the prefix-
-  /// filter join instead of the quadratic all-pairs scan. See
-  /// CandidateOptions::all_pairs_cutoff for how the default was picked.
-  size_t all_pairs_cutoff = 2048;
 
   GroupingKind grouping = GroupingKind::kSplit;
   double epsilon = 0.1;
@@ -103,14 +100,8 @@ struct PowerResult : ErResult {
   bool budget_exhausted = false;
   double grouping_seconds = 0.0;
   double graph_seconds = 0.0;
-  /// Time in the pruning / candidate-generation stage (Run only).
-  double pruning_seconds = 0.0;
-  /// Time computing per-attribute similarity vectors (Run only).
-  double similarity_seconds = 0.0;
   /// Resolved thread count the machine-side stages ran with.
   int num_threads = 1;
-  /// Candidate method that actually ran (kAuto resolved; Run only).
-  const char* candidate_method = "?";
 };
 
 /// Phases of the resumable ask-and-color loop, in execution order. One

@@ -21,9 +21,8 @@ void SortUnique(std::vector<int32_t>* v) {
 
 // Packs per-slot id vectors into one flat array + offsets. Offsets are a
 // serial prefix sum (pure function of the sizes); the copy shards over slots.
-// The destination arrays live on the aligned arena (util/arena.h).
 void PackCsr(const std::vector<std::vector<int32_t>>& rows,
-             ArenaVector<int32_t>* ids, ArenaVector<uint64_t>* off) {
+             std::vector<int32_t>* ids, std::vector<uint64_t>* off) {
   off->assign(rows.size() + 1, 0);
   for (size_t r = 0; r < rows.size(); ++r) {
     (*off)[r + 1] = (*off)[r] + rows[r].size();

@@ -146,44 +146,8 @@ TEST(EnvDoubleTest, ResolutionContract) {
 }
 
 // ---------------------------------------------------------------------------
-// EnvBool / EnvEnum / EnvIsSet / EnvVerbose.
+// EnvIsSet / EnvRaw / EnvVerbose.
 // ---------------------------------------------------------------------------
-
-TEST(EnvBoolTest, Vocabulary) {
-  for (const char* yes : {"1", "on", "true", "yes"}) {
-    ScopedEnv env(kVar, yes);
-    EXPECT_TRUE(EnvBool(kVar, false)) << yes;
-  }
-  for (const char* no : {"0", "off", "false", "no"}) {
-    ScopedEnv env(kVar, no);
-    EXPECT_FALSE(EnvBool(kVar, true)) << no;
-  }
-}
-
-TEST(EnvBoolTest, UnsetAndUnknownUseDefault) {
-  ScopedEnv unset(kVar, nullptr);
-  EXPECT_TRUE(EnvBool(kVar, true));
-  EXPECT_FALSE(EnvBool(kVar, false));
-  ScopedEnv env(kVar, "maybe");
-  EXPECT_TRUE(EnvBool(kVar, true));
-}
-
-TEST(EnvEnumTest, MatchesOptionsAndDefaults) {
-  static constexpr const char* const kOptions[] = {"off", "scalar", "avx2",
-                                                   "auto"};
-  {
-    ScopedEnv env(kVar, "avx2");
-    EXPECT_EQ(EnvEnum(kVar, 3, kOptions), 2u);
-  }
-  {
-    ScopedEnv unset(kVar, nullptr);
-    EXPECT_EQ(EnvEnum(kVar, 3, kOptions), 3u);
-  }
-  {
-    ScopedEnv env(kVar, "turbo");  // unknown -> default index, with warning
-    EXPECT_EQ(EnvEnum(kVar, 3, kOptions), 3u);
-  }
-}
 
 TEST(EnvMiscTest, IsSetAndRaw) {
   ScopedEnv unset(kVar, nullptr);
@@ -227,7 +191,6 @@ TEST(EnvKnobsTest, RegistryCoversEveryKnownKnob) {
   // list is the reminder to register them.
   EXPECT_TRUE(has("POWER_THREADS"));
   EXPECT_TRUE(has("POWER_SIMD"));
-  EXPECT_TRUE(has("POWER_HUGEPAGES"));
   EXPECT_TRUE(has("POWER_VERBOSE"));
   EXPECT_TRUE(has("POWER_ACMPUB_SCALE"));
   for (const EnvKnobInfo& k : knobs) {

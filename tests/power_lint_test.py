@@ -93,7 +93,7 @@ void Bad() {
   (void)deadline;
   __m256i sum = _mm256_add_epi64(sum, sum);  // intrinsic outside simd_kernels
   (void)sum;
-  void* block = aligned_alloc(64, 4096);  // raw allocation outside util/arena
+  void* block = aligned_alloc(64, 4096);  // raw aligned allocation in src/
   free(block);
 }
 """
@@ -309,16 +309,19 @@ def main():
     check_fixture("suppression", {"src/ok.cc": SUPPRESSED}, 0,
                   forbid_rules=("unordered-iter", "stale-allow"))
 
-    # 4. Sanctioned homes are exempt; raw-arena is src/-scoped.
+    # 4. Sanctioned homes are exempt. raw-arena has no home: it fires
+    #    anywhere in src/ and nowhere else.
     check_fixture("simd home exempt", {
         "src/sim/simd_kernels_avx2.cc":
             "__m256i V(__m256i a) { return _mm256_add_epi64(a, a); }\n"}, 0)
-    check_fixture("arena home exempt + src scope", {
+    check_fixture("raw-arena has no home", {
         "src/util/arena.cc":
-            "void* A(unsigned long n) { return aligned_alloc(64, n); }\n",
+            "void* A(unsigned long n) { return aligned_alloc(64, n); }\n"},
+        1, expect_rules=("raw-arena",))
+    check_fixture("raw-arena src scope", {
         "bench/probe.cc":
             "void* P(unsigned long n) { return aligned_alloc(64, n); }\n"},
-        0)
+        0, forbid_rules=("raw-arena",))
 
     # 5. Typedef / using renames of unordered containers cannot slip through
     #    (the acceptance fixture of the v2 rewrite).
