@@ -31,8 +31,8 @@ void ConfidenceThresholdAblation(BenchDataset& ds) {
               "#BlueGroups");
   PrintRule();
   auto truth = TrueMatchPairs(ds.table);
-  std::vector<SimilarPair> pairs =
-      ComputePairSimilarities(ds.table, ds.candidates, 0.2);
+  std::vector<SimilarPair> pairs = ComputePairSimilarities(
+      FeatureCache(ds.table), ds.candidates, 0.2);
   for (double threshold : {0.6, 0.7, 0.8, 0.9, 1.0}) {
     PowerConfig config;
     config.error_tolerant = true;
@@ -53,8 +53,8 @@ void HistogramAblation(BenchDataset& ds) {
   std::printf("%-8s %-10s %9s\n", "#bins", "kind", "F1");
   PrintRule();
   auto truth = TrueMatchPairs(ds.table);
-  std::vector<SimilarPair> pairs =
-      ComputePairSimilarities(ds.table, ds.candidates, 0.2);
+  std::vector<SimilarPair> pairs = ComputePairSimilarities(
+      FeatureCache(ds.table), ds.candidates, 0.2);
   for (int bins : {5, 10, 20, 40}) {
     for (bool equi_depth : {false, true}) {
       PowerConfig config;
@@ -78,8 +78,8 @@ void LevelPolicyAblation(BenchDataset& ds) {
   std::printf("%-8s %9s %12s %7s\n", "level", "F1", "#Questions", "#Iter");
   PrintRule();
   auto truth = TrueMatchPairs(ds.table);
-  std::vector<SimilarPair> pairs =
-      ComputePairSimilarities(ds.table, ds.candidates, 0.2);
+  std::vector<SimilarPair> pairs = ComputePairSimilarities(
+      FeatureCache(ds.table), ds.candidates, 0.2);
   std::vector<std::vector<double>> sims;
   for (const auto& p : pairs) sims.push_back(p.sims);
 

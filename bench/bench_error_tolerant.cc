@@ -26,8 +26,8 @@ void Run() {
                 "#Questions", "#Iter", "#BlueGroups");
     PrintRule();
     auto truth = TrueMatchPairs(ds.table);
-    std::vector<SimilarPair> pairs =
-        ComputePairSimilarities(ds.table, ds.candidates, 0.2);
+    std::vector<SimilarPair> pairs = ComputePairSimilarities(
+        FeatureCache(ds.table), ds.candidates, 0.2);
     for (double eps : kEpsilons) {
       for (bool tolerant : {false, true}) {
         PowerConfig config;

@@ -16,7 +16,8 @@ void Run() {
   const double kEpsilons[] = {0.05, 0.1, 0.15, 0.2};
 
   for (BenchDataset& ds : AllDatasets()) {
-    auto pairs = ComputePairSimilarities(ds.table, ds.candidates, 0.2);
+    auto pairs = ComputePairSimilarities(
+        FeatureCache(ds.table), ds.candidates, 0.2);
     std::vector<std::vector<double>> sims;
     sims.reserve(pairs.size());
     for (auto& p : pairs) sims.push_back(std::move(p.sims));

@@ -37,20 +37,10 @@ void BM_EditDistance(benchmark::State& state) {
   std::string a = RandomString(rng, static_cast<size_t>(state.range(0)));
   std::string b = RandomString(rng, static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(EditDistance(a, b));
+    benchmark::DoNotOptimize(MyersEditDistance(a, b));
   }
 }
 BENCHMARK(BM_EditDistance)->Arg(16)->Arg(64)->Arg(256);
-
-void BM_BoundedEditDistance(benchmark::State& state) {
-  Rng rng(1);
-  std::string a = RandomString(rng, static_cast<size_t>(state.range(0)));
-  std::string b = RandomString(rng, static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(BoundedEditDistance(a, b, 4));
-  }
-}
-BENCHMARK(BM_BoundedEditDistance)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_BigramJaccard(benchmark::State& state) {
   Rng rng(2);
@@ -67,8 +57,9 @@ void BM_PrefixFilterJoin(benchmark::State& state) {
   profile.num_records = static_cast<size_t>(state.range(0));
   profile.num_entities = profile.num_records * 7 / 8;
   Table table = DatasetGenerator(kBenchSeed).Generate(profile);
+  // The cache build is timed too: every caller of the join pays it.
   for (auto _ : state) {
-    benchmark::DoNotOptimize(PrefixFilterJoin(table, 0.3).size());
+    benchmark::DoNotOptimize(PrefixFilterJoin(FeatureCache(table), 0.3).size());
   }
   state.SetComplexityN(state.range(0));
 }
@@ -84,7 +75,8 @@ void BM_PairSimilaritiesThreads(benchmark::State& state) {
       MakeDataset(AcmPubProfile(AcmPubScale())));
   ScopedNumThreads scope(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    auto pairs = ComputePairSimilarities(ds.table, ds.candidates, 0.2);
+    auto pairs = ComputePairSimilarities(FeatureCache(ds.table),
+                                         ds.candidates, 0.2);
     benchmark::DoNotOptimize(pairs.size());
   }
   state.counters["threads"] = static_cast<double>(state.range(0));
@@ -103,8 +95,8 @@ void BM_AllPairsCandidatesThreads(benchmark::State& state) {
   }());
   ScopedNumThreads scope(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    auto candidates =
-        GenerateCandidates(table, 0.3, CandidateMethod::kAllPairs);
+    auto candidates = GenerateCandidates(FeatureCache(table), 0.3,
+                                         CandidateMethod::kAllPairs);
     benchmark::DoNotOptimize(candidates.size());
   }
   state.counters["threads"] = static_cast<double>(state.range(0));

@@ -23,8 +23,8 @@ void Run() {
                 "#Iter", "AssignTime(s)");
     PrintRule();
     auto truth = TrueMatchPairs(ds.table);
-    std::vector<SimilarPair> pairs =
-        ComputePairSimilarities(ds.table, ds.candidates, 0.2);
+    std::vector<SimilarPair> pairs = ComputePairSimilarities(
+        FeatureCache(ds.table), ds.candidates, 0.2);
     for (SelectorKind kind :
          {SelectorKind::kSinglePath, SelectorKind::kMultiPath,
           SelectorKind::kTopoSort}) {

@@ -44,8 +44,8 @@ void Run() {
       config.seed = kBenchSeed;
       CrowdOracle oracle(&ds.table, Band90(), WorkerModel::kExactAccuracy, 5,
                          kBenchSeed);
-      std::vector<SimilarPair> pairs =
-          ComputePairSimilarities(ds.table, ds.candidates, 0.2);
+      std::vector<SimilarPair> pairs = ComputePairSimilarities(
+          FeatureCache(ds.table), ds.candidates, 0.2);
       PowerResult result =
           PowerFramework(config).RunOnPairs(pairs, &oracle);
       PrecisionRecallF prf = ComputePrf(result.matched_pairs, truth);

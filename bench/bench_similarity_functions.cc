@@ -5,10 +5,10 @@
 // Plus the similarity front-end throughput bench: the cached path
 // (FeatureCache build + interned-token candidate scan + cached pair
 // similarity vectors) against a bench-local copy of the legacy string path
-// (per-call concatenation/tokenization via the retained table-based
-// per-pair functions), on a mixed-schema table exercising edit, Jaccard,
-// bigram and numeric attributes, swept over thread counts. The two paths'
-// outputs are asserted equal before any timing is reported.
+// (per-call concatenation/tokenization via the table-based per-pair
+// reference in tests/reference/), on a mixed-schema table exercising edit,
+// Jaccard, bigram and numeric attributes, swept over thread counts. The two
+// paths' outputs are asserted equal before any timing is reported.
 //
 // Plus the kernel-level bench: the dispatched SIMD kernels
 // (sim/simd_kernels.h) against their scalar references on the two hot
@@ -37,6 +37,7 @@
 
 #include "bench_util.h"
 #include "eval/experiment.h"
+#include "reference/similarity.h"
 #include "sim/feature_cache.h"
 #include "sim/simd_kernels.h"
 #include "sim/similarity_matrix.h"
@@ -101,9 +102,8 @@ Table MakeFrontEndTable(size_t num_records) {
 }
 
 // Bench-local copy of the historical front end: the same sharded loops the
-// production path runs, but every comparison goes through the legacy
-// table-based per-pair functions (string concatenation + tokenization per
-// call).
+// production path runs, but every comparison goes through the table-based
+// per-pair functions (string concatenation + tokenization per call).
 std::vector<std::pair<int, int>> LegacyAllPairsCandidates(const Table& table,
                                                           double tau) {
   constexpr int64_t kRowGrain = 16;

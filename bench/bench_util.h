@@ -45,8 +45,9 @@ inline BenchDataset MakeDataset(const DatasetProfile& profile,
   ds.name = profile.name;
   ds.human_hardness = profile.human_hardness;
   ds.table = DatasetGenerator(kBenchSeed).Generate(profile);
-  ds.candidates =
-      GenerateCandidates(ds.table, tau, CandidateMethod::kPrefixJoin);
+  // The cache borrows ds.table, which moves on return: keep it local.
+  ds.candidates = GenerateCandidates(FeatureCache(ds.table), tau,
+                                     CandidateMethod::kPrefixJoin);
   return ds;
 }
 

@@ -21,10 +21,12 @@ int main() {
 
   // Pilot slice: a 2,000-record cut of the publication catalog.
   Table pilot = DatasetGenerator(/*seed=*/3).Generate(AcmPubProfile(0.03));
+  // One feature cache serves both the pruning join and the similarity pass.
+  FeatureCache features(pilot);
   std::vector<std::pair<int, int>> candidates =
-      GenerateCandidates(pilot, 0.3, CandidateMethod::kPrefixJoin);
+      GenerateCandidates(features, 0.3, CandidateMethod::kPrefixJoin);
   std::vector<SimilarPair> pairs =
-      ComputePairSimilarities(pilot, candidates, 0.2);
+      ComputePairSimilarities(features, candidates, 0.2);
   auto truth = TrueMatchPairs(pilot);
   std::printf("pilot: %zu records, %zu candidate pairs\n\n",
               pilot.num_records(), pairs.size());

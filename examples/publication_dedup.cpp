@@ -23,10 +23,12 @@ int main() {
   std::printf("bibliography: %zu records, %zu distinct publications\n",
               bibliography.num_records(), bibliography.CountEntities());
 
-  std::vector<std::pair<int, int>> candidates = GenerateCandidates(
-      bibliography, 0.3, CandidateMethod::kPrefixJoin);
+  // One feature cache serves both the pruning join and the similarity pass.
+  FeatureCache features(bibliography);
+  std::vector<std::pair<int, int>> candidates =
+      GenerateCandidates(features, 0.3, CandidateMethod::kPrefixJoin);
   std::vector<SimilarPair> pairs =
-      ComputePairSimilarities(bibliography, candidates, 0.2);
+      ComputePairSimilarities(features, candidates, 0.2);
   std::printf("candidate pairs: %zu\n\n", pairs.size());
 
   auto truth = TrueMatchPairs(bibliography);

@@ -40,8 +40,8 @@ int main(int argc, char** argv) {
               catalog.num_records(), catalog.CountEntities());
 
   // Prune with the similarity join (no quadratic pair enumeration).
-  std::vector<std::pair<int, int>> candidates =
-      GenerateCandidates(catalog, /*tau=*/0.3, CandidateMethod::kPrefixJoin);
+  std::vector<std::pair<int, int>> candidates = GenerateCandidates(
+      FeatureCache(catalog), /*tau=*/0.3, CandidateMethod::kPrefixJoin);
   std::printf("candidate pairs after pruning: %zu (of %zu raw pairs)\n",
               candidates.size(),
               catalog.num_records() * (catalog.num_records() - 1) / 2);

@@ -7,6 +7,7 @@
 #include "blocking/prefix_join.h"
 #include "sim/simd_kernels.h"
 #include "sim/similarity_matrix.h"
+#include "util/check.h"
 #include "util/env.h"
 #include "util/parallel.h"
 
@@ -14,6 +15,9 @@ namespace power {
 
 std::vector<std::pair<int, int>> AllPairsCandidates(
     const FeatureCache& features, double tau) {
+  // RecordJaccardAtLeast is true for every pair at tau <= 0 and false for
+  // every pair at NaN; reject both (and tau > 1) as the join does.
+  POWER_CHECK(tau > 0.0 && tau <= 1.0);
   // Row-sharded over the pool. Chunks cover ascending i-ranges and their
   // buffers are concatenated in chunk order, so the output ordering is
   // exactly the serial loop's ((i asc, j asc)) at any thread count.
@@ -49,12 +53,6 @@ std::vector<std::pair<int, int>> AllPairsCandidates(
     out.insert(out.end(), buf.begin(), buf.end());
   }
   return out;
-}
-
-std::vector<std::pair<int, int>> AllPairsCandidates(const Table& table,
-                                                    double tau) {
-  FeatureCache features(table);
-  return AllPairsCandidates(features, tau);
 }
 
 const char* CandidateMethodName(CandidateMethod method) {
@@ -96,13 +94,6 @@ std::vector<std::pair<int, int>> GenerateCandidates(
 std::vector<std::pair<int, int>> GenerateCandidates(
     const FeatureCache& features, double tau, CandidateMethod method) {
   return GenerateCandidates(features, tau, method, CandidateOptions{});
-}
-
-std::vector<std::pair<int, int>> GenerateCandidates(const Table& table,
-                                                    double tau,
-                                                    CandidateMethod method) {
-  FeatureCache features(table);
-  return GenerateCandidates(features, tau, method);
 }
 
 }  // namespace power

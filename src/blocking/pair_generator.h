@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "data/table.h"
 #include "sim/feature_cache.h"
 
 namespace power {
@@ -15,13 +14,9 @@ namespace power {
 ///
 /// Enumerates all n*(n-1)/2 pairs over the cached record-level token-id
 /// spans. Fine for Restaurant/Cora-sized tables; use PrefixFilterJoin for
-/// ACMPub scale.
+/// ACMPub scale. Aborts unless 0 < tau <= 1, as PrefixFilterJoin does.
 std::vector<std::pair<int, int>> AllPairsCandidates(
     const FeatureCache& features, double tau);
-
-/// Convenience wrapper: builds a FeatureCache and runs the cached scan.
-std::vector<std::pair<int, int>> AllPairsCandidates(const Table& table,
-                                                    double tau);
 
 /// Candidate generation method selector used by the pipeline config.
 enum class CandidateMethod {
@@ -65,11 +60,6 @@ std::vector<std::pair<int, int>> GenerateCandidates(
 /// Back-compat form: default options, no stats.
 std::vector<std::pair<int, int>> GenerateCandidates(
     const FeatureCache& features, double tau, CandidateMethod method);
-
-/// Convenience wrapper: builds a FeatureCache and dispatches.
-std::vector<std::pair<int, int>> GenerateCandidates(const Table& table,
-                                                    double tau,
-                                                    CandidateMethod method);
 
 }  // namespace power
 

@@ -178,10 +178,4 @@ std::vector<std::pair<int, int>> PrefixFilterJoin(const FeatureCache& features,
   return result;
 }
 
-std::vector<std::pair<int, int>> PrefixFilterJoin(const Table& table,
-                                                  double tau) {
-  FeatureCache features(table);
-  return PrefixFilterJoin(features, tau);
-}
-
 }  // namespace power

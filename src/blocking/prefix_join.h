@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "data/table.h"
 #include "sim/feature_cache.h"
 
 namespace power {
@@ -25,10 +24,6 @@ namespace power {
 ///
 /// The result is identical (up to order) to AllPairsCandidates(features, tau).
 std::vector<std::pair<int, int>> PrefixFilterJoin(const FeatureCache& features,
-                                                  double tau);
-
-/// Convenience wrapper: builds a FeatureCache and joins.
-std::vector<std::pair<int, int>> PrefixFilterJoin(const Table& table,
                                                   double tau);
 
 }  // namespace power

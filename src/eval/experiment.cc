@@ -46,7 +46,7 @@ ExperimentRow RunMethod(Method method, const Table& table,
       config.error_tolerant = (method == Method::kPowerPlus);
       PowerFramework framework(config);
       std::vector<SimilarPair> pairs = ComputePairSimilarities(
-          table, candidates, config.component_floor);
+          FeatureCache(table), candidates, config.component_floor);
       er = framework.RunOnPairs(pairs, &oracle);
       break;
     }

@@ -14,8 +14,8 @@ namespace power {
 
 /// Per-table record feature cache: every string-derived feature the
 /// similarity front end consumes, computed once on the deterministic pool
-/// and stored in flat CSR-style arenas (offsets + one contiguous value
-/// array per feature family):
+/// and stored in flat arrays (offsets + one contiguous value array per
+/// feature family):
 ///
 ///   lower bytes  — the lower-cased bytes of every cell, concatenated;
 ///   word ids     — sorted-unique interned word-token ids per cell;

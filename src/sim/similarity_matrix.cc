@@ -1,11 +1,11 @@
 #include "sim/similarity_matrix.h"
 
 #include <algorithm>
+#include <string>
 #include <string_view>
 #include <vector>
 
 #include "sim/simd_kernels.h"
-#include "sim/similarity.h"
 #include "sim/tokenizer.h"
 #include "util/check.h"
 #include "util/parallel.h"
@@ -56,43 +56,6 @@ void FillEditAttributeForRun(const FeatureCache& features,
 }
 
 }  // namespace
-
-SimilarPair ComputePairSimilarity(const Table& table, int i, int j,
-                                  double component_floor) {
-  POWER_CHECK(i != j);
-  if (i > j) std::swap(i, j);
-  SimilarPair p;
-  p.i = i;
-  p.j = j;
-  const Schema& schema = table.schema();
-  p.sims.reserve(schema.num_attributes());
-  for (size_t k = 0; k < schema.num_attributes(); ++k) {
-    double s = ComputeSimilarity(schema.attribute(k).sim, table.Value(i, k),
-                                 table.Value(j, k));
-    if (s < component_floor) s = 0.0;
-    p.sims.push_back(s);
-  }
-  return p;
-}
-
-SimilarPair ComputePairSimilarity(const FeatureCache& features, int i, int j,
-                                  double component_floor) {
-  POWER_CHECK(i != j);
-  if (i > j) std::swap(i, j);
-  SimilarPair p;
-  p.i = i;
-  p.j = j;
-  const Schema& schema = features.table().schema();
-  p.sims.reserve(schema.num_attributes());
-  for (size_t k = 0; k < schema.num_attributes(); ++k) {
-    double s = ComputeSimilarity(features, schema.attribute(k).sim,
-                                 static_cast<size_t>(i),
-                                 static_cast<size_t>(j), k);
-    if (s < component_floor) s = 0.0;
-    p.sims.push_back(s);
-  }
-  return p;
-}
 
 std::vector<SimilarPair> ComputePairSimilarities(
     const FeatureCache& features,
@@ -160,13 +123,6 @@ std::vector<SimilarPair> ComputePairSimilarities(
         }
       });
   return out;
-}
-
-std::vector<SimilarPair> ComputePairSimilarities(
-    const Table& table, const std::vector<std::pair<int, int>>& candidates,
-    double component_floor) {
-  FeatureCache features(table);
-  return ComputePairSimilarities(features, candidates, component_floor);
 }
 
 double RecordLevelJaccard(const Table& table, int i, int j) {

@@ -9,40 +9,21 @@
 
 namespace power {
 
-/// Computes the per-attribute similarity vector of a candidate pair using the
-/// similarity function configured on each attribute (paper §3.1). Components
-/// below `component_floor` (the per-attribute bound τ in Table 2's "if
-/// s_ij^k < τ we set s_ij^k = 0") are clamped to 0.
-///
-/// This overload is the legacy string path: it tokenizes/lowercases the raw
-/// values on every call. Kept as the differential reference for the cached
-/// path below (tests/feature_cache_test.cc); batch work should build a
-/// FeatureCache instead.
-SimilarPair ComputePairSimilarity(const Table& table, int i, int j,
-                                  double component_floor);
-
-/// Cached-feature variant: byte-identical output, no per-call tokenization.
-SimilarPair ComputePairSimilarity(const FeatureCache& features, int i, int j,
-                                  double component_floor);
-
-/// Computes similarity vectors for a batch of candidate pairs over cached
-/// features.
+/// Computes the per-attribute similarity vector of every candidate pair over
+/// cached features, using the similarity function configured on each
+/// attribute (paper §3.1). Components below `component_floor` (the
+/// per-attribute bound τ in Table 2's "if s_ij^k < τ we set s_ij^k = 0") are
+/// clamped to 0. Each output pair has i < j.
 std::vector<SimilarPair> ComputePairSimilarities(
     const FeatureCache& features,
     const std::vector<std::pair<int, int>>& candidates,
     double component_floor);
 
-/// Convenience wrapper: builds a FeatureCache for `table` and runs the
-/// cached batch. Callers that also generate candidates should build the
-/// cache themselves and share it (see PowerFramework::Run).
-std::vector<SimilarPair> ComputePairSimilarities(
-    const Table& table, const std::vector<std::pair<int, int>>& candidates,
-    double component_floor);
-
 /// Record-level similarity used for pruning (paper §7.1): word-token Jaccard
-/// over the concatenation of all attribute values. Legacy string path (it
-/// concatenates and tokenizes per call) — the differential reference for the
-/// cached overload below.
+/// over the concatenation of all attribute values. String path (it
+/// concatenates and tokenizes per call): the crowd simulators call it once
+/// per question, where building a FeatureCache would cost more; it is also
+/// the differential reference for the cached overload below.
 double RecordLevelJaccard(const Table& table, int i, int j);
 
 /// Cached-feature variant: Jaccard of the two record-level token-id spans.

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -6,21 +7,24 @@
 #include "blocking/prefix_join.h"
 #include "data/generator.h"
 #include "data/paper_example.h"
+#include "sim/feature_cache.h"
 
 namespace power {
 namespace {
 
 TEST(AllPairsTest, ThresholdOneKeepsOnlyIdenticalTokenSets) {
   Table t = PaperExampleTable();
-  auto pairs = AllPairsCandidates(t, 1.0);
+  FeatureCache features(t);
+  auto pairs = AllPairsCandidates(features, 1.0);
   // No two records of the running example share an identical token set.
   EXPECT_TRUE(pairs.empty());
 }
 
 TEST(AllPairsTest, ThresholdMonotonicity) {
   Table t = PaperExampleTable();
-  auto loose = AllPairsCandidates(t, 0.1);
-  auto tight = AllPairsCandidates(t, 0.4);
+  FeatureCache features(t);
+  auto loose = AllPairsCandidates(features, 0.1);
+  auto tight = AllPairsCandidates(features, 0.4);
   EXPECT_GE(loose.size(), tight.size());
   // Every tight pair is also a loose pair.
   for (const auto& p : tight) {
@@ -30,7 +34,8 @@ TEST(AllPairsTest, ThresholdMonotonicity) {
 
 TEST(AllPairsTest, PairsAreOrderedAndDistinct) {
   Table t = PaperExampleTable();
-  auto pairs = AllPairsCandidates(t, 0.2);
+  FeatureCache features(t);
+  auto pairs = AllPairsCandidates(features, 0.2);
   for (const auto& [i, j] : pairs) {
     EXPECT_LT(i, j);
   }
@@ -45,8 +50,9 @@ class PrefixJoinEquivalence : public ::testing::TestWithParam<double> {};
 TEST_P(PrefixJoinEquivalence, MatchesAllPairsOnPaperExample) {
   double tau = GetParam();
   Table t = PaperExampleTable();
-  auto brute = AllPairsCandidates(t, tau);
-  auto joined = PrefixFilterJoin(t, tau);
+  FeatureCache features(t);
+  auto brute = AllPairsCandidates(features, tau);
+  auto joined = PrefixFilterJoin(features, tau);
   std::sort(brute.begin(), brute.end());
   EXPECT_EQ(joined, brute);
 }
@@ -57,8 +63,9 @@ TEST_P(PrefixJoinEquivalence, MatchesAllPairsOnGeneratedData) {
   p.num_records = 150;
   p.num_entities = 90;
   Table t = DatasetGenerator(77).Generate(p);
-  auto brute = AllPairsCandidates(t, tau);
-  auto joined = PrefixFilterJoin(t, tau);
+  FeatureCache features(t);
+  auto brute = AllPairsCandidates(features, tau);
+  auto joined = PrefixFilterJoin(features, tau);
   std::sort(brute.begin(), brute.end());
   EXPECT_EQ(joined, brute) << "tau=" << tau;
 }
@@ -72,7 +79,7 @@ TEST(PrefixJoinTest, HandlesDuplicateRecords) {
   t.Add({-1, 0, {"alpha beta"}});
   t.Add({-1, 0, {"alpha beta"}});
   t.Add({-1, 1, {"gamma delta"}});
-  auto pairs = PrefixFilterJoin(t, 0.5);
+  auto pairs = PrefixFilterJoin(FeatureCache(t), 0.5);
   ASSERT_EQ(pairs.size(), 1u);
   EXPECT_EQ(pairs[0], (std::pair<int, int>{0, 1}));
 }
@@ -80,16 +87,17 @@ TEST(PrefixJoinTest, HandlesDuplicateRecords) {
 TEST(PrefixJoinTest, EmptyAndSingletonTables) {
   Schema schema({{"a", SimilarityFunction::kJaccard}});
   Table empty(schema);
-  EXPECT_TRUE(PrefixFilterJoin(empty, 0.3).empty());
+  EXPECT_TRUE(PrefixFilterJoin(FeatureCache(empty), 0.3).empty());
   Table one(schema);
   one.Add({-1, 0, {"solo"}});
-  EXPECT_TRUE(PrefixFilterJoin(one, 0.3).empty());
+  EXPECT_TRUE(PrefixFilterJoin(FeatureCache(one), 0.3).empty());
 }
 
 TEST(GenerateCandidatesTest, DispatchAgrees) {
   Table t = PaperExampleTable();
-  auto a = GenerateCandidates(t, 0.3, CandidateMethod::kAllPairs);
-  auto b = GenerateCandidates(t, 0.3, CandidateMethod::kPrefixJoin);
+  FeatureCache features(t);
+  auto a = GenerateCandidates(features, 0.3, CandidateMethod::kAllPairs);
+  auto b = GenerateCandidates(features, 0.3, CandidateMethod::kPrefixJoin);
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   EXPECT_EQ(a, b);
@@ -116,6 +124,42 @@ TEST(GenerateCandidatesTest, AutoDispatchesByRecordCountAndCutoff) {
 
   // The dispatch is invisible in the results.
   EXPECT_EQ(a, b);
+}
+
+// Out-of-range tau: at tau <= 0 every pair passes the record-level Jaccard
+// test and at NaN none does, so both engines abort instead of returning
+// all n(n-1)/2 pairs or nothing — whichever one kAuto picks.
+constexpr double kBadTaus[] = {0.0, -0.5, 1.5,
+                               std::numeric_limits<double>::quiet_NaN()};
+constexpr char kTauCheck[] = "POWER_CHECK failed.*tau > 0.0";
+
+TEST(CandidateTauDeathTest, AllPairsRejectsOutOfRangeTau) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Table t = PaperExampleTable();
+  FeatureCache features(t);
+  for (double tau : kBadTaus) {
+    EXPECT_DEATH(AllPairsCandidates(features, tau), kTauCheck) << tau;
+    EXPECT_DEATH(GenerateCandidates(features, tau, CandidateMethod::kAllPairs),
+                 kTauCheck)
+        << tau;
+    // 11 records <= the default cutoff: kAuto runs the scan.
+    EXPECT_DEATH(GenerateCandidates(features, tau, CandidateMethod::kAuto),
+                 kTauCheck)
+        << tau;
+  }
+}
+
+TEST(CandidateTauDeathTest, PrefixJoinRejectsOutOfRangeTau) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Table t = PaperExampleTable();
+  FeatureCache features(t);
+  for (double tau : kBadTaus) {
+    EXPECT_DEATH(PrefixFilterJoin(features, tau), kTauCheck) << tau;
+    EXPECT_DEATH(
+        GenerateCandidates(features, tau, CandidateMethod::kPrefixJoin),
+        kTauCheck)
+        << tau;
+  }
 }
 
 }  // namespace

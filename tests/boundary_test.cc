@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "data/paper_example.h"
-#include "eval/boundary.h"
 #include "graph/builder.h"
+#include "reference/boundary.h"
 
 namespace power {
 namespace {

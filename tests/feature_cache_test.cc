@@ -12,6 +12,7 @@
 #include "core/power.h"
 #include "crowd/answer_cache.h"
 #include "data/table.h"
+#include "reference/similarity.h"
 #include "sim/similarity.h"
 #include "sim/similarity_matrix.h"
 #include "sim/tokenizer.h"

@@ -4,7 +4,7 @@
 
 #include "data/paper_example.h"
 #include "graph/builder.h"
-#include "graph/graph_stats.h"
+#include "reference/graph_stats.h"
 
 namespace power {
 namespace {

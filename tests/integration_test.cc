@@ -133,7 +133,8 @@ TEST(PipelineConsistency, MatchedPairsComeFromCandidates) {
   PowerConfig config;
   config.error_tolerant = true;
   std::vector<std::pair<int, int>> candidates =
-      GenerateCandidates(table, config.prune_tau, config.candidate_method);
+      GenerateCandidates(FeatureCache(table), config.prune_tau,
+                         config.candidate_method);
   std::unordered_set<uint64_t> candidate_keys;
   for (const auto& [i, j] : candidates) candidate_keys.insert(PairKey(i, j));
   PowerResult r = PowerFramework(config).Run(table, &oracle);

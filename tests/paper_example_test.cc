@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "data/paper_example.h"
-#include "sim/similarity_matrix.h"
+#include "reference/similarity.h"
 
 namespace power {
 namespace {

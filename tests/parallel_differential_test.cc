@@ -131,18 +131,20 @@ TEST(ParallelSimilarityDifferential, CandidatesAndVectorsMatchSerial) {
     std::vector<SimilarPair> serial_pairs;
     {
       ScopedNumThreads scope(1);
-      serial_candidates = AllPairsCandidates(table, 0.3);
-      serial_pairs = ComputePairSimilarities(table, serial_candidates, 0.2);
+      FeatureCache features(table);
+      serial_candidates = AllPairsCandidates(features, 0.3);
+      serial_pairs = ComputePairSimilarities(features, serial_candidates, 0.2);
     }
     ASSERT_FALSE(serial_candidates.empty()) << c.profile.name;
 
     for (int threads : kThreadCounts) {
       ScopedNumThreads scope(threads);
+      FeatureCache features(table);
       // Candidate generation: byte-identical, including order.
-      EXPECT_EQ(AllPairsCandidates(table, 0.3), serial_candidates)
+      EXPECT_EQ(AllPairsCandidates(features, 0.3), serial_candidates)
           << c.profile.name << " threads=" << threads;
       // Similarity vectors: positionally identical, doubles bit-for-bit.
-      auto pairs = ComputePairSimilarities(table, serial_candidates, 0.2);
+      auto pairs = ComputePairSimilarities(features, serial_candidates, 0.2);
       ASSERT_EQ(pairs.size(), serial_pairs.size());
       for (size_t p = 0; p < pairs.size(); ++p) {
         EXPECT_EQ(pairs[p].i, serial_pairs[p].i);
@@ -169,14 +171,16 @@ TEST(ParallelSimilarityDifferential, GraphFromParallelPipelineMatchesSerial) {
   std::set<std::pair<int, int>> serial_edges;
   {
     ScopedNumThreads scope(1);
-    auto candidates = AllPairsCandidates(table, 0.3);
-    auto pairs = ComputePairSimilarities(table, candidates, 0.2);
+    FeatureCache features(table);
+    auto candidates = AllPairsCandidates(features, 0.3);
+    auto pairs = ComputePairSimilarities(features, candidates, 0.2);
     serial_edges = EdgeSet(BuildPairGraph(BruteForceBuilder(), pairs));
   }
   for (int threads : kThreadCounts) {
     ScopedNumThreads scope(threads);
-    auto candidates = AllPairsCandidates(table, 0.3);
-    auto pairs = ComputePairSimilarities(table, candidates, 0.2);
+    FeatureCache features(table);
+    auto candidates = AllPairsCandidates(features, 0.3);
+    auto pairs = ComputePairSimilarities(features, candidates, 0.2);
     EXPECT_EQ(EdgeSet(BuildPairGraph(BruteForceBuilder(), pairs)),
               serial_edges)
         << "threads=" << threads;

@@ -1,4 +1,4 @@
-#include "eval/boundary.h"
+#include "reference/boundary.h"
 
 #include "util/check.h"
 

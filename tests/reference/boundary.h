@@ -1,5 +1,5 @@
-#ifndef POWER_EVAL_BOUNDARY_H_
-#define POWER_EVAL_BOUNDARY_H_
+#ifndef POWER_REFERENCE_BOUNDARY_H_
+#define POWER_REFERENCE_BOUNDARY_H_
 
 #include <vector>
 
@@ -25,4 +25,4 @@ size_t CountBoundaryVertices(const PairGraph& graph,
 
 }  // namespace power
 
-#endif  // POWER_EVAL_BOUNDARY_H_
+#endif  // POWER_REFERENCE_BOUNDARY_H_

@@ -1,4 +1,4 @@
-#include "graph/graph_stats.h"
+#include "reference/graph_stats.h"
 
 #include <algorithm>
 

@@ -1,5 +1,5 @@
-#ifndef POWER_GRAPH_GRAPH_STATS_H_
-#define POWER_GRAPH_GRAPH_STATS_H_
+#ifndef POWER_REFERENCE_GRAPH_STATS_H_
+#define POWER_REFERENCE_GRAPH_STATS_H_
 
 #include <cstdint>
 #include <string>
@@ -44,4 +44,4 @@ std::string ToDot(const PairGraph& graph,
 
 }  // namespace power
 
-#endif  // POWER_GRAPH_GRAPH_STATS_H_
+#endif  // POWER_REFERENCE_GRAPH_STATS_H_

@@ -6,8 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include "eval/boundary.h"
 #include "graph/builder.h"
+#include "reference/boundary.h"
 #include "select/path_cover.h"
 #include "select/selector.h"
 #include "util/rng.h"

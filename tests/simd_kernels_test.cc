@@ -13,6 +13,7 @@
 #include "blocking/pair_generator.h"
 #include "blocking/prefix_join.h"
 #include "data/table.h"
+#include "reference/similarity.h"
 #include "sim/feature_cache.h"
 #include "sim/similarity.h"
 #include "sim/tokenizer.h"

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "data/paper_example.h"
+#include "reference/similarity.h"
+#include "sim/feature_cache.h"
 #include "sim/similarity_matrix.h"
 
 namespace power {
@@ -8,7 +10,10 @@ namespace {
 
 TEST(SimilarityMatrixTest, ComputesVectorPerAttribute) {
   Table t = PaperExampleTable();
-  SimilarPair p = ComputePairSimilarity(t, 0, 1, 0.0);
+  FeatureCache features(t);
+  auto pairs = ComputePairSimilarities(features, {{0, 1}}, 0.0);
+  ASSERT_EQ(pairs.size(), 1u);
+  const SimilarPair& p = pairs[0];
   EXPECT_EQ(p.i, 0);
   EXPECT_EQ(p.j, 1);
   ASSERT_EQ(p.sims.size(), 4u);
@@ -20,17 +25,19 @@ TEST(SimilarityMatrixTest, ComputesVectorPerAttribute) {
 
 TEST(SimilarityMatrixTest, NormalizesPairOrder) {
   Table t = PaperExampleTable();
-  SimilarPair a = ComputePairSimilarity(t, 3, 1, 0.0);
-  EXPECT_EQ(a.i, 1);
-  EXPECT_EQ(a.j, 3);
-  SimilarPair b = ComputePairSimilarity(t, 1, 3, 0.0);
-  EXPECT_EQ(a.sims, b.sims);
+  FeatureCache features(t);
+  auto pairs = ComputePairSimilarities(features, {{3, 1}, {1, 3}}, 0.0);
+  ASSERT_EQ(pairs.size(), 2u);
+  EXPECT_EQ(pairs[0].i, 1);
+  EXPECT_EQ(pairs[0].j, 3);
+  EXPECT_EQ(pairs[0].sims, pairs[1].sims);
 }
 
 TEST(SimilarityMatrixTest, ComponentFloorZeroesSmallSims) {
   Table t = PaperExampleTable();
-  SimilarPair raw = ComputePairSimilarity(t, 0, 10, 0.0);
-  SimilarPair floored = ComputePairSimilarity(t, 0, 10, 0.9);
+  FeatureCache features(t);
+  SimilarPair raw = ComputePairSimilarities(features, {{0, 10}}, 0.0)[0];
+  SimilarPair floored = ComputePairSimilarities(features, {{0, 10}}, 0.9)[0];
   for (size_t k = 0; k < raw.sims.size(); ++k) {
     if (raw.sims[k] < 0.9) {
       EXPECT_DOUBLE_EQ(floored.sims[k], 0.0);
@@ -40,10 +47,12 @@ TEST(SimilarityMatrixTest, ComponentFloorZeroesSmallSims) {
   }
 }
 
+// The cached batch against the string front end's per-pair reference.
 TEST(SimilarityMatrixTest, BatchMatchesSingle) {
   Table t = PaperExampleTable();
+  FeatureCache features(t);
   std::vector<std::pair<int, int>> candidates = {{0, 1}, {0, 2}, {7, 8}};
-  auto batch = ComputePairSimilarities(t, candidates, 0.2);
+  auto batch = ComputePairSimilarities(features, candidates, 0.2);
   ASSERT_EQ(batch.size(), 3u);
   for (size_t idx = 0; idx < candidates.size(); ++idx) {
     SimilarPair single = ComputePairSimilarity(
