@@ -16,6 +16,7 @@
 #include "eval/metrics.h"
 #include "graph/builder.h"
 #include "group/split_grouper.h"
+#include "reference/graph_stats.h"
 #include "select/path_cover.h"
 
 namespace power {
@@ -42,7 +43,7 @@ void Run() {
   PrintTitle("Fig 1 — partial-order DAG");
   std::printf("vertices=%zu edges(full dominance relation)=%zu acyclic=%s\n",
               graph.num_vertices(), graph.num_edges(),
-              graph.IsAcyclic() ? "yes" : "no");
+              IsAcyclic(graph) ? "yes" : "no");
 
   std::vector<std::vector<double>> sims;
   for (const auto& p : pairs) sims.push_back(p.sims);
@@ -70,8 +71,8 @@ void Run() {
     std::printf("\n");
   }
 
-  auto levels = grouped.graph.TopologicalLevels(
-      std::vector<bool>(grouped.graph.num_vertices(), true));
+  auto levels = TopologicalLevels(
+      grouped.graph, std::vector<bool>(grouped.graph.num_vertices(), true));
   PrintTitle("Fig 7 — topological levels of the grouped graph: |L| = " +
              std::to_string(levels.size()));
   for (size_t l = 0; l < levels.size(); ++l) {

@@ -8,7 +8,6 @@
 
 #include "sim/similarity_matrix.h"
 #include "util/rng.h"
-#include "util/stopwatch.h"
 
 namespace power {
 namespace {
@@ -173,7 +172,6 @@ ErResult RunAcd(const Table& table,
     // Uncertain pairs: cross-cluster pairs similar enough that a silent NO
     // cannot be trusted, plus same-cluster pairs whose endpoints still lack
     // direct crowd evidence.
-    Stopwatch assign_watch;
     std::vector<size_t> batch;
     for (size_t idx : by_uncertainty) {
       if (answered[idx] != -1) continue;
@@ -187,7 +185,6 @@ ErResult RunAcd(const Table& table,
         if (batch.size() >= batch_size) break;
       }
     }
-    result.assignment_seconds += assign_watch.ElapsedSeconds();
     if (batch.empty()) break;
 
     ++result.iterations;

@@ -6,7 +6,6 @@
 
 #include "baselines/cluster_state.h"
 #include "sim/similarity_matrix.h"
-#include "util/stopwatch.h"
 
 namespace power {
 namespace {
@@ -39,7 +38,6 @@ ErResult RunGcer(const Table& table,
     ++degree[j];
   }
 
-  Stopwatch assign_watch;
   std::vector<size_t> order(candidates.size());
   for (size_t idx = 0; idx < candidates.size(); ++idx) order[idx] = idx;
   std::vector<double> score(candidates.size());
@@ -52,7 +50,6 @@ ErResult RunGcer(const Table& table,
     if (score[a] != score[b]) return score[a] > score[b];
     return a < b;
   });
-  result.assignment_seconds += assign_watch.ElapsedSeconds();
 
   ClusterState clusters(n);
   size_t cursor = 0;

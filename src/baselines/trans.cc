@@ -5,7 +5,6 @@
 
 #include "baselines/cluster_state.h"
 #include "sim/similarity_matrix.h"
-#include "util/stopwatch.h"
 
 namespace power {
 
@@ -35,7 +34,6 @@ ErResult RunTrans(const Table& table,
   while (remaining > 0) {
     // Build one parallel batch: pairs currently uninferable whose records do
     // not overlap with earlier batch members.
-    Stopwatch assign_watch;
     std::vector<size_t> batch;
     std::unordered_set<int> touched;
     for (const auto& [sim, idx] : order) {
@@ -47,7 +45,6 @@ ErResult RunTrans(const Table& table,
       touched.insert(i);
       touched.insert(j);
     }
-    result.assignment_seconds += assign_watch.ElapsedSeconds();
 
     if (batch.empty()) {
       // Everything left is inferable; settle it without asking.

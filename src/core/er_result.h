@@ -17,7 +17,8 @@ struct ErResult {
   size_t questions = 0;
   size_t iterations = 0;
   /// Time spent deciding which questions to ask (Fig. 30's "assignment
-  /// time"), excluding crowd latency.
+  /// time"), excluding crowd latency. Power reports it; the baselines leave
+  /// it at 0.
   double assignment_seconds = 0.0;
 
   // Fault ledger (zero under a perfect crowd; only fault-tolerant loops

@@ -201,10 +201,8 @@ RunOnPairsJob::RunOnPairsJob(const PowerConfig& config,
   if (config_.grouping == GroupingKind::kNone) {
     result_.grouping_seconds = 0.0;
     Stopwatch graph_watch;
-    // The graph takes ownership of the local copy; the pair sims are read
-    // back through grouped_.graph.all_sims() below.
-    grouped_ = BuildUngrouped(*MakeBuilder(config_.builder, rng_.Fork()),
-                              std::move(sims_));
+    grouped_ =
+        BuildUngrouped(*MakeBuilder(config_.builder, rng_.Fork()), sims_);
     result_.graph_seconds = graph_watch.ElapsedSeconds();
   } else {
     std::unique_ptr<Grouper> grouper;
@@ -221,13 +219,6 @@ RunOnPairsJob::RunOnPairsJob(const PowerConfig& config,
   }
   result_.num_groups = grouped_.groups.size();
   result_.num_edges = grouped_.graph.num_edges();
-  // Per-pair similarity vectors for the Power+ histogram pass: the
-  // ungrouped path moved them into the graph (whose vertices are the
-  // pairs); the grouped path keeps the local copy (the graph holds group
-  // midpoints).
-  pair_sims_ = config_.grouping == GroupingKind::kNone
-                   ? &grouped_.graph.all_sims()
-                   : &sims_;
 
   fingerprint_ = JobFingerprint(config_, pairs);
   ResetLoopState();
@@ -584,7 +575,7 @@ PowerResult RunOnPairsJob::Finish() {
   if ((config_.error_tolerant && result_.num_blue_groups > 0) ||
       result_.budget_exhausted || result_.degraded_questions > 0) {
     for (const auto& [v, color] : ResolveBlueVertices(
-             grouped_, *state_, *pair_sims_, config_.tolerance)) {
+             grouped_, *state_, sims_, config_.tolerance)) {
       if (color == Color::kGreen) {
         result_.matched_pairs.insert(
             PairKey((*pairs_)[v].i, (*pairs_)[v].j));

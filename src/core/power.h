@@ -45,6 +45,9 @@ struct PowerConfig {
   GroupingKind grouping = GroupingKind::kSplit;
   double epsilon = 0.1;
 
+  /// The §4.1 graph builder over the pairs. Read only with
+  /// GroupingKind::kNone: grouped runs build the grouped graph
+  /// (BuildGroupedGraph) and ignore this field.
   BuilderKind builder = BuilderKind::kRangeTree;
   SelectorKind selector = SelectorKind::kTopoSort;
 
@@ -195,10 +198,10 @@ class RunOnPairsJob {
   PowerResult result_;
 
   // Machine-side setup (deterministic from config + pairs; never
-  // checkpointed).
+  // checkpointed). sims_ holds the per-pair similarity vectors: the grouping
+  // / graph input and the §6 histogram pass of Power+.
   std::vector<std::vector<double>> sims_;
   GroupedGraph grouped_;
-  const std::vector<std::vector<double>>* pair_sims_ = nullptr;
   uint64_t fingerprint_ = 0;
 
   // Loop state (exactly what a checkpoint persists).

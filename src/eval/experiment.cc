@@ -71,7 +71,6 @@ ExperimentRow RunMethod(Method method, const Table& table,
   row.quality = ComputePrf(er.matched_pairs, TrueMatchPairs(table));
   row.questions = er.questions;
   row.iterations = er.iterations;
-  row.assignment_seconds = er.assignment_seconds;
   row.requeued = er.requeued_questions;
   row.degraded = er.degraded_questions;
   row.checkpointed = er.checkpoints_written;

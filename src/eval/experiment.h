@@ -44,7 +44,6 @@ struct ExperimentRow {
   PrecisionRecallF quality;
   size_t questions = 0;
   size_t iterations = 0;
-  double assignment_seconds = 0.0;
   double dollars = 0.0;
   /// Unanswered question postings the resolution loop re-posted.
   size_t requeued = 0;

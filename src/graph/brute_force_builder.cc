@@ -18,39 +18,43 @@ PairGraph BuildPairGraph(const GraphBuilder& builder,
   std::vector<std::vector<double>> sims;
   sims.reserve(pairs.size());
   for (const auto& p : pairs) sims.push_back(p.sims);
-  return builder.Build(std::move(sims));
+  return builder.Build(sims);
 }
 
-PairGraph BruteForceBuilder::Build(std::vector<std::vector<double>> sims) const {
-  PairGraph graph{std::move(sims)};
-  const std::vector<std::vector<double>>& s = graph.all_sims();
-  const int n = static_cast<int>(s.size());
-  // Row-sharded over the pool: chunk boundaries depend only on (n, grain),
-  // and each chunk's edges land in its own buffer, appended in chunk order —
-  // the graph is identical at any thread count.
-  std::vector<std::vector<std::pair<int, int>>> edges(NumChunks(0, n, kRowGrain));
-  ParallelForChunked(0, n, kRowGrain,
+PairGraph BuildByRowChunks(
+    size_t num_vertices, int64_t grain,
+    const std::function<void(int64_t, int64_t, EdgeList*)>& emit_rows) {
+  const int64_t n = static_cast<int64_t>(num_vertices);
+  std::vector<EdgeList> chunks(NumChunks(0, n, grain));
+  ParallelForChunked(0, n, grain,
                      [&](size_t chunk, int64_t row_begin, int64_t row_end) {
-                       auto& buf = edges[chunk];
-                       for (int a = static_cast<int>(row_begin);
-                            a < static_cast<int>(row_end); ++a) {
-                         for (int b = a + 1; b < n; ++b) {
-                           switch (CompareDominance(s[a], s[b])) {
-                             case DomOrder::kDominates:
-                               buf.emplace_back(a, b);
-                               break;
-                             case DomOrder::kDominatedBy:
-                               buf.emplace_back(b, a);
-                               break;
-                             default:
-                               break;
-                           }
-                         }
-                       }
+                       emit_rows(row_begin, row_end, &chunks[chunk]);
                      });
-  graph.AddEdgeChunks(std::move(edges));
-  graph.DedupEdges();
-  return graph;
+  return PairGraph(num_vertices, std::move(chunks));
+}
+
+PairGraph BruteForceBuilder::Build(
+    const std::vector<std::vector<double>>& sims) const {
+  const int n = static_cast<int>(sims.size());
+  return BuildByRowChunks(
+      sims.size(), kRowGrain,
+      [&](int64_t row_begin, int64_t row_end, EdgeList* buf) {
+        for (int a = static_cast<int>(row_begin);
+             a < static_cast<int>(row_end); ++a) {
+          for (int b = a + 1; b < n; ++b) {
+            switch (CompareDominance(sims[a], sims[b])) {
+              case DomOrder::kDominates:
+                buf->emplace_back(a, b);
+                break;
+              case DomOrder::kDominatedBy:
+                buf->emplace_back(b, a);
+                break;
+              default:
+                break;
+            }
+          }
+        }
+      });
 }
 
 }  // namespace power

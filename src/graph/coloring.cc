@@ -42,8 +42,6 @@ ColoringState::ColoringState(const PairGraph* graph)
       red_votes_(graph->num_vertices(), 0),
       uncolored_((graph->num_vertices() + 63) / 64, ~uint64_t{0}),
       visit_mark_(graph->num_vertices(), 0) {
-  POWER_CHECK_MSG(graph->frozen() || graph->num_vertices() == 0,
-                  "ColoringState requires a frozen graph");
   const size_t n = graph->num_vertices();
   counts_[ColorIndex(Color::kUncolored)] = n;
   if (n % 64 != 0 && !uncolored_.empty()) {

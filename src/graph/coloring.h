@@ -45,7 +45,6 @@ const char* ColorName(Color c);
 /// the state-id generator atomic in coloring.cc.
 class ColoringState {
  public:
-  /// `graph` must be frozen (PairGraph::DedupEdges) unless empty.
   explicit ColoringState(const PairGraph* graph);
 
   Color color(int v) const;

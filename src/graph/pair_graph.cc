@@ -10,75 +10,66 @@
 namespace power {
 namespace {
 
-// Edges per chunk in the counting / scatter passes of the CSR freeze.
+// Edges per chunk in the counting / scatter passes of the CSR layout.
 constexpr int64_t kEdgeGrain = 8192;
 // Vertices per chunk in the per-vertex sort / dedup passes. Degrees vary
 // wildly on closure graphs, so chunks are small and claimed dynamically.
 constexpr int64_t kVertexGrain = 32;
 
-}  // namespace
-
-PairGraph::PairGraph(std::vector<std::vector<double>> sims)
-    : sims_(std::move(sims)) {}
-
-const std::vector<double>& PairGraph::sims(int v) const {
-  POWER_CHECK(v >= 0 && static_cast<size_t>(v) < sims_.size());
-  return sims_[v];
-}
-
-void PairGraph::CheckFrozenVertex(int v) const {
-  POWER_CHECK_MSG(frozen_, "adjacency requires a frozen graph (DedupEdges)");
-  POWER_CHECK(v >= 0 && static_cast<size_t>(v) < sims_.size());
-}
-
-void PairGraph::AddEdge(int parent, int child) {
-  POWER_CHECK_MSG(!frozen_, "PairGraph is frozen; no further edges");
-  POWER_CHECK(parent >= 0 && static_cast<size_t>(parent) < sims_.size());
-  POWER_CHECK(child >= 0 && static_cast<size_t>(child) < sims_.size());
-  POWER_CHECK(parent != child);
-  pending_.emplace_back(parent, child);
-}
-
-void PairGraph::AddEdgeChunks(
-    std::vector<std::vector<std::pair<int, int>>> chunks) {
-  POWER_CHECK_MSG(!frozen_, "PairGraph is frozen; no further edges");
-  const size_t base = pending_.size();
-  std::vector<size_t> offsets(chunks.size());
-  size_t total = base;
-  for (size_t i = 0; i < chunks.size(); ++i) {
-    offsets[i] = total;
-    total += chunks[i].size();
+// The input edge chunks viewed as one flat sequence, so the counting and
+// scatter passes shard by edge whatever the chunk sizes are.
+class FlatEdges {
+ public:
+  explicit FlatEdges(const std::vector<EdgeList>& chunks) : chunks_(chunks) {
+    starts_.reserve(chunks.size());
+    for (const auto& chunk : chunks) {
+      starts_.push_back(size_);
+      size_ += static_cast<int64_t>(chunk.size());
+    }
   }
-  pending_.resize(total);
-  const int n = static_cast<int>(sims_.size());
-  ParallelFor(0, static_cast<int64_t>(chunks.size()), 1,
-              [&](int64_t begin, int64_t end) {
-                for (int64_t i = begin; i < end; ++i) {
-                  size_t pos = offsets[i];
-                  for (const auto& [parent, child] : chunks[i]) {
-                    POWER_CHECK(parent >= 0 && parent < n);
-                    POWER_CHECK(child >= 0 && child < n);
-                    POWER_CHECK(parent != child);
-                    pending_[pos++] = {parent, child};
-                  }
-                }
-              });
-}
 
-void PairGraph::BuildCsrSide(bool keyed_by_parent,
-                             std::vector<int64_t>* offsets,
-                             std::vector<int>* edges) const {
-  const size_t n = sims_.size();
-  const int64_t num_pending = static_cast<int64_t>(pending_.size());
+  int64_t size() const { return size_; }
+
+  // Calls fn(edge) for the flat edges [begin, end), in order.
+  template <typename Fn>
+  void ForRange(int64_t begin, int64_t end, Fn fn) const {
+    // The last chunk starting at or before `begin` holds it.
+    size_t c = static_cast<size_t>(
+        std::upper_bound(starts_.begin(), starts_.end(), begin) -
+        starts_.begin() - 1);
+    for (int64_t i = begin; i < end; ++c) {
+      const EdgeList& chunk = chunks_[c];
+      for (size_t k = static_cast<size_t>(i - starts_[c]);
+           k < chunk.size() && i < end; ++k, ++i) {
+        fn(chunk[k]);
+      }
+    }
+  }
+
+ private:
+  const std::vector<EdgeList>& chunks_;
+  std::vector<int64_t> starts_;  // flat index of each chunk's first edge
+  int64_t size_ = 0;
+};
+
+// Builds one CSR direction from `edges`: key = pair.first when
+// keyed_by_parent, else pair.second. Checks every edge's endpoints.
+void BuildCsrSide(const FlatEdges& edges, size_t n, bool keyed_by_parent,
+                  std::vector<int64_t>* offsets, std::vector<int>* targets) {
+  const int64_t num_edges = edges.size();
+  const int num_vertices = static_cast<int>(n);
 
   // Pass 1: per-vertex degree counts. Relaxed atomic increments — addition
   // commutes, so the totals are thread-count independent.
   std::unique_ptr<std::atomic<int64_t>[]> counts(new std::atomic<int64_t>[n]());
-  ParallelFor(0, num_pending, kEdgeGrain, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      const auto& [p, c] = pending_[i];
+  ParallelFor(0, num_edges, kEdgeGrain, [&](int64_t begin, int64_t end) {
+    edges.ForRange(begin, end, [&](const std::pair<int, int>& e) {
+      const auto& [p, c] = e;
+      POWER_CHECK(p >= 0 && p < num_vertices);
+      POWER_CHECK(c >= 0 && c < num_vertices);
+      POWER_CHECK(p != c);
       counts[keyed_by_parent ? p : c].fetch_add(1, std::memory_order_relaxed);
-    }
+    });
   });
   std::vector<int64_t> raw_off(n + 1, 0);
   for (size_t v = 0; v < n; ++v) {
@@ -87,17 +78,17 @@ void PairGraph::BuildCsrSide(bool keyed_by_parent,
   }
 
   // Pass 2: scatter targets into per-vertex ranges. The order within a range
-  // is scheduling-dependent, but pass 3 sorts every range, so the frozen
-  // result is deterministic.
-  std::vector<int> raw(static_cast<size_t>(num_pending));
-  ParallelFor(0, num_pending, kEdgeGrain, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      const auto& [p, c] = pending_[i];
+  // is scheduling-dependent, but pass 3 sorts every range, so the result is
+  // deterministic.
+  std::vector<int> raw(static_cast<size_t>(num_edges));
+  ParallelFor(0, num_edges, kEdgeGrain, [&](int64_t begin, int64_t end) {
+    edges.ForRange(begin, end, [&](const std::pair<int, int>& e) {
+      const auto& [p, c] = e;
       int key = keyed_by_parent ? p : c;
       int64_t pos =
           raw_off[key] + counts[key].fetch_add(1, std::memory_order_relaxed);
       raw[static_cast<size_t>(pos)] = keyed_by_parent ? c : p;
-    }
+    });
   });
 
   // Pass 3: sort + count unique per vertex (dedup sizes reuse `counts`).
@@ -112,104 +103,37 @@ void PairGraph::BuildCsrSide(bool keyed_by_parent,
                 }
               });
 
-  // Final offsets + compaction into the frozen arrays.
+  // Final offsets + compaction into the CSR arrays.
   offsets->assign(n + 1, 0);
   for (size_t v = 0; v < n; ++v) {
     (*offsets)[v + 1] =
         (*offsets)[v] + counts[v].load(std::memory_order_relaxed);
   }
-  edges->assign(static_cast<size_t>((*offsets)[n]), 0);
+  targets->assign(static_cast<size_t>((*offsets)[n]), 0);
   ParallelFor(0, static_cast<int64_t>(n), kVertexGrain,
               [&](int64_t begin, int64_t end) {
                 for (int64_t v = begin; v < end; ++v) {
                   std::copy_n(raw.data() + raw_off[v],
                               (*offsets)[v + 1] - (*offsets)[v],
-                              edges->data() + (*offsets)[v]);
+                              targets->data() + (*offsets)[v]);
                 }
               });
 }
 
-void PairGraph::DedupEdges() {
-  if (frozen_) return;
-  BuildCsrSide(/*keyed_by_parent=*/true, &child_off_, &child_edges_);
-  BuildCsrSide(/*keyed_by_parent=*/false, &parent_off_, &parent_edges_);
-  POWER_CHECK(child_edges_.size() == parent_edges_.size());
-  num_edges_ = child_edges_.size();
-  pending_ = {};
-  frozen_ = true;
-}
-
-namespace {
-
-// Reachability over one CSR direction with caller-owned scratch-free local
-// state; ascending output.
-template <typename AdjFn>
-std::vector<int> Reachable(size_t n, int start, AdjFn adj) {
-  std::vector<int> out;
-  std::vector<bool> visited(n, false);
-  std::vector<int> stack = {start};
-  visited[start] = true;
-  while (!stack.empty()) {
-    int v = stack.back();
-    stack.pop_back();
-    for (int u : adj(v)) {
-      if (!visited[u]) {
-        visited[u] = true;
-        out.push_back(u);
-        stack.push_back(u);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 }  // namespace
 
-std::vector<int> PairGraph::Descendants(int v) const {
-  CheckFrozenVertex(v);
-  return Reachable(sims_.size(), v, [this](int u) { return children(u); });
+PairGraph::PairGraph(size_t num_vertices, std::vector<EdgeList> edge_chunks)
+    : num_vertices_(num_vertices) {
+  FlatEdges edges(edge_chunks);
+  BuildCsrSide(edges, num_vertices, /*keyed_by_parent=*/true, &child_off_,
+               &child_edges_);
+  BuildCsrSide(edges, num_vertices, /*keyed_by_parent=*/false, &parent_off_,
+               &parent_edges_);
+  POWER_CHECK(child_edges_.size() == parent_edges_.size());
 }
 
-std::vector<int> PairGraph::Ancestors(int v) const {
-  CheckFrozenVertex(v);
-  return Reachable(sims_.size(), v, [this](int u) { return parents(u); });
-}
-
-std::vector<std::vector<int>> PairGraph::TopologicalLevels(
-    const std::vector<bool>& active) const {
-  POWER_CHECK(active.size() == sims_.size());
-  POWER_CHECK_MSG(frozen_ || sims_.empty(), "freeze the graph first");
-  std::vector<int> indegree(sims_.size(), 0);
-  std::vector<int> frontier;
-  for (size_t v = 0; v < sims_.size(); ++v) {
-    if (!active[v]) continue;
-    for (int p : parents(static_cast<int>(v))) {
-      if (active[p]) ++indegree[v];
-    }
-    if (indegree[v] == 0) frontier.push_back(static_cast<int>(v));
-  }
-  std::vector<std::vector<int>> levels;
-  while (!frontier.empty()) {
-    std::sort(frontier.begin(), frontier.end());
-    levels.push_back(frontier);
-    std::vector<int> next;
-    for (int v : frontier) {
-      for (int c : children(v)) {
-        if (active[c] && --indegree[c] == 0) next.push_back(c);
-      }
-    }
-    frontier = std::move(next);
-  }
-  return levels;
-}
-
-bool PairGraph::IsAcyclic() const {
-  std::vector<bool> active(sims_.size(), true);
-  auto levels = TopologicalLevels(active);
-  size_t covered = 0;
-  for (const auto& level : levels) covered += level.size();
-  return covered == sims_.size();
+void PairGraph::CheckVertex(int v) const {
+  POWER_CHECK(v >= 0 && static_cast<size_t>(v) < num_vertices_);
 }
 
 }  // namespace power

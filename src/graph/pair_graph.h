@@ -9,107 +9,61 @@
 
 namespace power {
 
+/// One buffer of (parent, child) edges.
+using EdgeList = std::vector<std::pair<int, int>>;
+
 /// The directed acyclic graph of the partial-order framework (Definition 2).
-/// Vertex v carries a similarity vector; an edge parent -> child means
+/// Vertex v is a pair (or a group of pairs); an edge parent -> child means
 /// parent ≻ child (the parent pair dominates the child pair).
 ///
 /// The graph builders emit the *full* dominance relation (an edge for every
 /// comparable vertex pair), i.e. the transitive closure. Question selection
 /// (Dilworth path cover) and O(1)-hop propagation both rely on this.
 ///
-/// Lifecycle: the graph has a build phase and a frozen phase. During build,
-/// AddEdge / AddEdgeChunks append to a flat pending-edge list. DedupEdges()
-/// freezes the graph: the pending edges are deduplicated and laid out as two
-/// immutable CSR (offset + flat edge array) adjacency forms — children and
-/// parents — built with parallel counting/scatter/sort passes on the global
-/// thread pool (util/parallel.h) whose result is independent of the thread
-/// count. After freezing, children(v)/parents(v) return lightweight sorted
-/// spans into the flat arrays and no further mutation is allowed. The flat
-/// layout replaces the former ragged vector<vector<int>> adjacency, which on
-/// closure graphs (O(|V|²) edges) dominated both memory and cache misses in
-/// the ask-and-color serving loop.
-///
-/// Concurrency contract: the build phase (AddEdge/AddEdgeChunks) and the
-/// freeze (DedupEdges) are driven by ONE thread; inside the freeze, the
-/// parallel count/scatter/sort passes share per-vertex atomic counters whose
-/// relaxed increments commute (thread-count-invariant totals), and the
-/// `frozen_` flag itself is written only by that driving thread before any
-/// reader exists. After freezing the graph is immutable and safe to read
-/// from any number of threads without synchronization.
+/// The graph is immutable: the constructor takes the builders' per-chunk
+/// edge buffers, checks every endpoint, deduplicates, and lays out two CSR
+/// (offset + flat edge array) adjacency forms — children and parents — with
+/// parallel counting/scatter/sort passes on the global thread pool
+/// (util/parallel.h) whose result is independent of the thread count and of
+/// the order and chunking of the input edges. children(v)/parents(v) return
+/// sorted spans into the flat arrays. The graph is safe to read from any
+/// number of threads without synchronization.
 class PairGraph {
  public:
   PairGraph() = default;
-  explicit PairGraph(std::vector<std::vector<double>> sims);
+  /// Builds the graph over vertices [0, num_vertices) from `edge_chunks`.
+  /// Every endpoint must lie in [0, num_vertices) and no edge may be a
+  /// self-loop (checked; aborts otherwise). Duplicate edges, within one
+  /// chunk or across chunks, are kept once.
+  PairGraph(size_t num_vertices, std::vector<EdgeList> edge_chunks);
 
-  size_t num_vertices() const { return sims_.size(); }
-  /// Deduplicated edge count once frozen; the pending (possibly duplicated)
-  /// edge count during build.
-  size_t num_edges() const { return frozen_ ? num_edges_ : pending_.size(); }
+  size_t num_vertices() const { return num_vertices_; }
+  /// Deduplicated edge count.
+  size_t num_edges() const { return child_edges_.size(); }
 
-  const std::vector<double>& sims(int v) const;
-  const std::vector<std::vector<double>>& all_sims() const { return sims_; }
-
-  /// Adds edge parent -> child to the pending build list. Duplicates are
-  /// allowed; DedupEdges() removes them. Must not be called once frozen.
-  void AddEdge(int parent, int child);
-
-  /// Bulk append of per-chunk edge buffers (the builders' emit path). The
-  /// chunks are concatenated in chunk order — the pending list is identical
-  /// to per-edge AddEdge calls in the same order. The copy itself is sharded
-  /// over the pool. Must not be called once frozen.
-  void AddEdgeChunks(std::vector<std::vector<std::pair<int, int>>> chunks);
-
-  /// Freezes the graph: deduplicates the pending edges and builds the
-  /// immutable CSR adjacency (see class comment). Idempotent.
-  void DedupEdges();
-
-  /// True once DedupEdges() has frozen the graph into CSR form.
-  bool frozen() const { return frozen_; }
-
-  /// Children of v (vertices v strictly dominates), ascending. Frozen only.
+  /// Children of v (vertices v strictly dominates), ascending.
   std::span<const int> children(int v) const {
-    CheckFrozenVertex(v);
+    CheckVertex(v);
     return {child_edges_.data() + child_off_[v],
             child_edges_.data() + child_off_[v + 1]};
   }
-  /// Parents of v (vertices strictly dominating v), ascending. Frozen only.
+  /// Parents of v (vertices strictly dominating v), ascending.
   std::span<const int> parents(int v) const {
-    CheckFrozenVertex(v);
+    CheckVertex(v);
     return {parent_edges_.data() + parent_off_[v],
             parent_edges_.data() + parent_off_[v + 1]};
   }
 
-  /// All vertices reachable from v via child edges (v excluded), ascending.
-  std::vector<int> Descendants(int v) const;
-  /// All vertices reachable from v via parent edges (v excluded), ascending.
-  std::vector<int> Ancestors(int v) const;
-
-  /// Kahn peeling over the subgraph induced by `active` vertices: level L1 =
-  /// zero in-degree vertices, L2 = zero in-degree after removing L1, ...
-  /// (paper §5.3.2). `active.size()` must equal num_vertices().
-  std::vector<std::vector<int>> TopologicalLevels(
-      const std::vector<bool>& active) const;
-
-  /// True iff the edge relation has no directed cycle.
-  bool IsAcyclic() const;
-
  private:
-  void CheckFrozenVertex(int v) const;
-  /// Builds one CSR direction from the pending edges: key = pair.first when
-  /// keyed_by_parent, else pair.second.
-  void BuildCsrSide(bool keyed_by_parent, std::vector<int64_t>* offsets,
-                    std::vector<int>* edges) const;
+  void CheckVertex(int v) const;
 
-  std::vector<std::vector<double>> sims_;
-  std::vector<std::pair<int, int>> pending_;  // build phase only
-  bool frozen_ = false;
-  // CSR adjacency, valid once frozen. offsets have num_vertices() + 1
-  // entries; edge arrays hold the deduplicated, per-vertex-sorted targets.
+  size_t num_vertices_ = 0;
+  // CSR adjacency: offsets have num_vertices() + 1 entries; edge arrays hold
+  // the deduplicated, per-vertex-sorted targets.
   std::vector<int64_t> child_off_;
   std::vector<int> child_edges_;
   std::vector<int64_t> parent_off_;
   std::vector<int> parent_edges_;
-  size_t num_edges_ = 0;
 };
 
 }  // namespace power

@@ -10,8 +10,8 @@
 namespace power {
 namespace {
 
-// Minimum comparisons/emissions before a loop is worth sharding over the
-// pool; also the per-chunk work target. Small recursion levels stay inline.
+// Target comparisons/emissions per chunk when a pivot's cross products are
+// sharded over the pool; smaller products form a single chunk and run inline.
 constexpr int64_t kParallelWork = 4096;
 // Elements per chunk when classifying a set against the pivot.
 constexpr int64_t kClassifyGrain = 1024;
@@ -19,107 +19,58 @@ constexpr int64_t kClassifyGrain = 1024;
 class QuickSortBuildState {
  public:
   QuickSortBuildState(const std::vector<std::vector<double>>& sims,
-                      PairGraph* graph, uint64_t seed)
-      : sims_(sims), graph_(graph), rng_(seed) {}
+                      uint64_t seed)
+      : sims_(sims), rng_(seed) {}
 
-  void Run() {
+  // Runs the recursion over every vertex and returns its edges.
+  EdgeList Run() {
     std::vector<int> all(sims_.size());
     for (size_t v = 0; v < sims_.size(); ++v) all[v] = static_cast<int>(v);
     Recurse(all);
+    return std::move(edges_);
   }
 
  private:
-  void Compare(int a, int b) {
+  void Compare(int a, int b, EdgeList* buf) const {
     switch (CompareDominance(sims_[a], sims_[b])) {
       case DomOrder::kDominates:
-        graph_->AddEdge(a, b);
+        buf->emplace_back(a, b);
         break;
       case DomOrder::kDominatedBy:
-        graph_->AddEdge(b, a);
+        buf->emplace_back(b, a);
         break;
       default:
         break;
     }
   }
 
-  // All |rows| x |cols| edges row -> col. Sharded by row with per-chunk
-  // buffers appended in chunk order (edge order feeds DedupEdges, which
-  // sorts, so the final graph is thread-count independent either way).
-  void EmitCrossEdges(const std::vector<int>& rows,
-                      const std::vector<int>& cols) {
+  // Calls emit(row, col, buf) for every (row, col) in rows x cols, sharded
+  // by row into chunks of about kParallelWork pairs; the chunk buffers are
+  // appended to edges_ in chunk order.
+  template <typename Emit>
+  void ForCrossPairs(const std::vector<int>& rows, const std::vector<int>& cols,
+                     Emit emit) {
     if (rows.empty() || cols.empty()) return;
-    const int64_t total =
-        static_cast<int64_t>(rows.size()) * static_cast<int64_t>(cols.size());
-    if (total < kParallelWork || NumThreads() <= 1) {
-      for (int r : rows) {
-        for (int c : cols) graph_->AddEdge(r, c);
-      }
-      return;
-    }
     const int64_t grain =
         std::max<int64_t>(1, kParallelWork / static_cast<int64_t>(cols.size()));
     const int64_t n = static_cast<int64_t>(rows.size());
-    std::vector<std::vector<std::pair<int, int>>> edges(
-        NumChunks(0, n, grain));
+    std::vector<EdgeList> chunks(NumChunks(0, n, grain));
     ParallelForChunked(0, n, grain,
                        [&](size_t chunk, int64_t begin, int64_t end) {
-                         auto& buf = edges[chunk];
-                         buf.reserve(static_cast<size_t>(end - begin) *
-                                     cols.size());
+                         EdgeList* buf = &chunks[chunk];
                          for (int64_t i = begin; i < end; ++i) {
-                           for (int c : cols) buf.emplace_back(rows[i], c);
+                           for (int c : cols) emit(rows[i], c, buf);
                          }
                        });
-    AppendEdges(std::move(edges));
-  }
-
-  // Direct comparison of every (row, col) pair straddling the incomparable
-  // set; same sharding scheme as EmitCrossEdges.
-  void EmitComparedEdges(const std::vector<int>& rows,
-                         const std::vector<int>& cols) {
-    if (rows.empty() || cols.empty()) return;
-    const int64_t total =
-        static_cast<int64_t>(rows.size()) * static_cast<int64_t>(cols.size());
-    if (total < kParallelWork || NumThreads() <= 1) {
-      for (int r : rows) {
-        for (int c : cols) Compare(r, c);
-      }
-      return;
+    for (const EdgeList& chunk : chunks) {
+      edges_.insert(edges_.end(), chunk.begin(), chunk.end());
     }
-    const int64_t grain =
-        std::max<int64_t>(1, kParallelWork / static_cast<int64_t>(cols.size()));
-    const int64_t n = static_cast<int64_t>(rows.size());
-    std::vector<std::vector<std::pair<int, int>>> edges(
-        NumChunks(0, n, grain));
-    ParallelForChunked(
-        0, n, grain, [&](size_t chunk, int64_t begin, int64_t end) {
-          auto& buf = edges[chunk];
-          for (int64_t i = begin; i < end; ++i) {
-            for (int c : cols) {
-              switch (CompareDominance(sims_[rows[i]], sims_[c])) {
-                case DomOrder::kDominates:
-                  buf.emplace_back(rows[i], c);
-                  break;
-                case DomOrder::kDominatedBy:
-                  buf.emplace_back(c, rows[i]);
-                  break;
-                default:
-                  break;
-              }
-            }
-          }
-        });
-    AppendEdges(std::move(edges));
-  }
-
-  void AppendEdges(std::vector<std::vector<std::pair<int, int>>> edges) {
-    graph_->AddEdgeChunks(std::move(edges));
   }
 
   void Recurse(const std::vector<int>& set) {
     if (set.size() <= 1) return;
     if (set.size() == 2) {
-      Compare(set[0], set[1]);
+      Compare(set[0], set[1], &edges_);
       return;
     }
     int pivot = set[rng_.UniformIndex(set.size())];
@@ -144,11 +95,11 @@ class QuickSortBuildState {
       switch (order[i]) {
         case DomOrder::kDominates:
           parents.push_back(v);
-          graph_->AddEdge(v, pivot);
+          edges_.emplace_back(v, pivot);
           break;
         case DomOrder::kDominatedBy:
           children.push_back(v);
-          graph_->AddEdge(pivot, v);
+          edges_.emplace_back(pivot, v);
           break;
         default:
           incomparable.push_back(v);
@@ -157,29 +108,30 @@ class QuickSortBuildState {
     }
     // The quicksort saving: every parent dominates every child via the pivot,
     // so all |P| x |C| edges come without a vector comparison.
-    EmitCrossEdges(parents, children);
+    ForCrossPairs(parents, children,
+                  [](int r, int c, EdgeList* buf) { buf->emplace_back(r, c); });
     // Pairs straddling the incomparable set are undetermined by the pivot;
     // resolve them directly (keeps the recursion duplicate-free; see header).
-    EmitComparedEdges(parents, incomparable);
-    EmitComparedEdges(children, incomparable);
+    auto compare = [this](int r, int c, EdgeList* buf) { Compare(r, c, buf); };
+    ForCrossPairs(parents, incomparable, compare);
+    ForCrossPairs(children, incomparable, compare);
     Recurse(parents);
     Recurse(children);
     Recurse(incomparable);
   }
 
   const std::vector<std::vector<double>>& sims_;
-  PairGraph* graph_;
   Rng rng_;
+  EdgeList edges_;
 };
 
 }  // namespace
 
-PairGraph QuickSortBuilder::Build(std::vector<std::vector<double>> sims) const {
-  PairGraph graph{std::move(sims)};
-  QuickSortBuildState state(graph.all_sims(), &graph, seed_);
-  state.Run();
-  graph.DedupEdges();
-  return graph;
+PairGraph QuickSortBuilder::Build(
+    const std::vector<std::vector<double>>& sims) const {
+  std::vector<EdgeList> chunks(1);
+  chunks[0] = QuickSortBuildState(sims, seed_).Run();
+  return PairGraph(sims.size(), std::move(chunks));
 }
 
 }  // namespace power

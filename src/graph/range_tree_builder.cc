@@ -6,7 +6,6 @@
 #include "graph/range_tree.h"
 #include "order/partial_order.h"
 #include "util/check.h"
-#include "util/parallel.h"
 
 namespace power {
 namespace {
@@ -17,7 +16,7 @@ constexpr int64_t kQueryGrain = 64;
 
 // Picks the two attributes with the most distinct values: the most selective
 // dimensions make the 2-d index filter hardest (fewest false candidates to
-// verify on the remaining attributes).
+// verify on the remaining attributes). A single attribute is indexed twice.
 std::pair<int, int> PickIndexDims(
     const std::vector<std::vector<double>>& sims) {
   size_t m = sims.empty() ? 0 : sims[0].size();
@@ -38,59 +37,40 @@ std::pair<int, int> PickIndexDims(
 
 }  // namespace
 
-PairGraph RangeTreeBuilder::Build(std::vector<std::vector<double>> sims) const {
-  PairGraph graph{std::move(sims)};
-  const std::vector<std::vector<double>>& s = graph.all_sims();
-  if (s.empty()) return graph;
-  const size_t m = s[0].size();
-
-  int d1 = dim1_;
-  int d2 = dim2_;
-  if (d1 < 0 || d2 < 0) {
-    auto dims = PickIndexDims(s);
-    d1 = dims.first;
-    d2 = dims.second;
-  }
-  POWER_CHECK(static_cast<size_t>(d1) < m && static_cast<size_t>(d2) < m);
-  if (m == 1) d2 = d1;  // Degenerate 1-attribute case: index it twice.
+PairGraph RangeTreeBuilder::Build(
+    const std::vector<std::vector<double>>& sims) const {
+  if (sims.empty()) return PairGraph(0, {});
+  const std::pair<int, int> dims = PickIndexDims(sims);
+  const size_t d1 = static_cast<size_t>(dims.first);
+  const size_t d2 = static_cast<size_t>(dims.second);
 
   RangeTree2d tree;
   std::vector<RangeTree2d::Point> points;
-  points.reserve(s.size());
-  for (size_t v = 0; v < s.size(); ++v) {
-    points.push_back({s[v][static_cast<size_t>(d1)],
-                      s[v][static_cast<size_t>(d2)],
-                      static_cast<int>(v)});
+  points.reserve(sims.size());
+  for (size_t v = 0; v < sims.size(); ++v) {
+    points.push_back({sims[v][d1], sims[v][d2], static_cast<int>(v)});
   }
   tree.Build(std::move(points));
 
   // For each vertex, report the candidates it weakly dominates on the two
   // indexed attributes, then verify strict dominance on the full vector.
-  // Queries only read the tree, so the loop shards over the pool; per-chunk
-  // edge buffers keep the result thread-count independent.
-  const int64_t n = static_cast<int64_t>(s.size());
-  std::vector<std::vector<std::pair<int, int>>> edges(
-      NumChunks(0, n, kQueryGrain));
-  ParallelForChunked(
-      0, n, kQueryGrain, [&](size_t chunk, int64_t begin, int64_t end) {
-        auto& buf = edges[chunk];
+  // Queries only read the tree, so the loop shards over the pool.
+  return BuildByRowChunks(
+      sims.size(), kQueryGrain,
+      [&](int64_t begin, int64_t end, EdgeList* buf) {
         std::vector<int> candidates;
         for (int64_t v = begin; v < end; ++v) {
+          const std::vector<double>& s = sims[static_cast<size_t>(v)];
           candidates.clear();
-          tree.QueryDominated(s[v][static_cast<size_t>(d1)],
-                              s[v][static_cast<size_t>(d2)], &candidates);
+          tree.QueryDominated(s[d1], s[d2], &candidates);
           for (int c : candidates) {
             if (c == static_cast<int>(v)) continue;
-            if (StrictlyDominates(s[static_cast<size_t>(v)],
-                                  s[static_cast<size_t>(c)])) {
-              buf.emplace_back(static_cast<int>(v), c);
+            if (StrictlyDominates(s, sims[static_cast<size_t>(c)])) {
+              buf->emplace_back(static_cast<int>(v), c);
             }
           }
         }
       });
-  graph.AddEdgeChunks(std::move(edges));
-  graph.DedupEdges();
-  return graph;
 }
 
 }  // namespace power

@@ -3,45 +3,37 @@
 #include "graph/builder.h"
 #include "graph/range_tree_md.h"
 #include "order/partial_order.h"
-#include "util/parallel.h"
 
 namespace power {
 
-PairGraph RangeTreeMdBuilder::Build(std::vector<std::vector<double>> sims) const {
-  PairGraph graph{std::move(sims)};
-  const std::vector<std::vector<double>>& s = graph.all_sims();
-  if (s.empty()) return graph;
+PairGraph RangeTreeMdBuilder::Build(
+    const std::vector<std::vector<double>>& sims) const {
+  if (sims.empty()) return PairGraph(0, {});
 
   RangeTreeMd tree;
-  tree.Build(std::vector<std::vector<double>>(s));
+  tree.Build(std::vector<std::vector<double>>(sims));
 
-  // Queries are read-only; shard them over the pool with per-chunk buffers
-  // (same scheme as the 2-d builder — thread-count-independent output).
+  // Queries are read-only; shard them over the pool (same scheme as the 2-d
+  // builder — thread-count-independent output).
   constexpr int64_t kQueryGrain = 64;
-  const int64_t n = static_cast<int64_t>(s.size());
-  std::vector<std::vector<std::pair<int, int>>> edges(
-      NumChunks(0, n, kQueryGrain));
-  ParallelForChunked(
-      0, n, kQueryGrain, [&](size_t chunk, int64_t begin, int64_t end) {
-        auto& buf = edges[chunk];
+  return BuildByRowChunks(
+      sims.size(), kQueryGrain,
+      [&](int64_t begin, int64_t end, EdgeList* buf) {
         std::vector<int> candidates;
         for (int64_t v = begin; v < end; ++v) {
           candidates.clear();
-          tree.QueryDominated(s[static_cast<size_t>(v)], &candidates);
+          tree.QueryDominated(sims[static_cast<size_t>(v)], &candidates);
           for (int c : candidates) {
             // Weak dominance is guaranteed by the tree; only equality (and
             // self) must be excluded for a strict edge.
             if (c == static_cast<int>(v)) continue;
-            if (StrictlyDominates(s[static_cast<size_t>(v)],
-                                  s[static_cast<size_t>(c)])) {
-              buf.emplace_back(static_cast<int>(v), c);
+            if (StrictlyDominates(sims[static_cast<size_t>(v)],
+                                  sims[static_cast<size_t>(c)])) {
+              buf->emplace_back(static_cast<int>(v), c);
             }
           }
         }
       });
-  graph.AddEdgeChunks(std::move(edges));
-  graph.DedupEdges();
-  return graph;
 }
 
 }  // namespace power

@@ -13,21 +13,20 @@ namespace power {
 /// ungrouped one; singleton groups recover the ungrouped graph.
 struct GroupedGraph {
   std::vector<VertexGroup> groups;
-  PairGraph graph;  // vertex v == groups[v]; payload = group midpoints
+  PairGraph graph;  // vertex v == groups[v]
 };
 
 /// Builds the grouped graph by testing interval dominance between all group
 /// pairs (group counts are small; the relation is transitive, so this yields
-/// the full closure like the base builders do). Row-sharded over the pool
-/// with per-chunk edge buffers; the frozen graph is identical at any thread
-/// count.
+/// the full closure like the base builders do). Emits through the builders'
+/// row-chunked path (BuildByRowChunks), so the graph is identical at any
+/// thread count.
 GroupedGraph BuildGroupedGraph(std::vector<VertexGroup> groups);
 
 /// Builds a grouped graph of singleton groups using a base-graph builder —
 /// the "non-grouping" configuration sharing the same downstream machinery.
-/// `sims` is moved into the built graph; pass std::move to avoid the copy.
 GroupedGraph BuildUngrouped(const GraphBuilder& builder,
-                            std::vector<std::vector<double>> sims);
+                            const std::vector<std::vector<double>>& sims);
 
 }  // namespace power
 

@@ -51,7 +51,7 @@ std::vector<int> TopoSortSelector::NextBatch(const ColoringState& state) {
   level_offsets_.clear();
   // Initial frontier ascending (the scan is in vertex order); every later
   // level is sorted after collection — matching the level contents of
-  // PairGraph::TopologicalLevels exactly.
+  // the reference TopologicalLevels (tests/reference/graph_stats.h) exactly.
   for (size_t v = 0; v < active_.size(); ++v) {
     if (active_[v] && peel_indeg_[v] == 0) {
       peel_order_.push_back(static_cast<int>(v));

@@ -24,7 +24,8 @@ namespace power {
 /// implementation did. The Kahn peel then runs over a scratch copy of the
 /// counts with reused buffers (flat peel order + level offsets), so a round
 /// allocates nothing once warm. The produced levels are byte-identical to
-/// PairGraph::TopologicalLevels on the uncolored subgraph.
+/// the reference TopologicalLevels (tests/reference/graph_stats.h) on the
+/// uncolored subgraph.
 class TopoSortSelector : public QuestionSelector {
  public:
   /// Which level of the topological sort to crowdsource each round. The

@@ -8,12 +8,11 @@ namespace power {
 namespace {
 
 PairGraph ClosedChain(int n) {
-  PairGraph g(std::vector<std::vector<double>>(n, {0.0}));
+  EdgeList edges;
   for (int a = 0; a < n; ++a) {
-    for (int b = a + 1; b < n; ++b) g.AddEdge(a, b);
+    for (int b = a + 1; b < n; ++b) edges.emplace_back(a, b);
   }
-  g.DedupEdges();
-  return g;
+  return PairGraph(n, {edges});
 }
 
 TEST(BoundaryTest, ChainHasTwoBoundaryVertices) {
@@ -39,8 +38,7 @@ TEST(BoundaryTest, AllRedChainHasOneBoundary) {
 }
 
 TEST(BoundaryTest, AntichainIsAllBoundary) {
-  PairGraph g(std::vector<std::vector<double>>(4, {0.0}));
-  g.DedupEdges();
+  PairGraph g(4, {});
   std::vector<bool> green = {true, false, true, false};
   EXPECT_EQ(CountBoundaryVertices(g, green), 4u);
 }

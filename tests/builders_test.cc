@@ -7,6 +7,7 @@
 #include "data/paper_example.h"
 #include "graph/builder.h"
 #include "order/partial_order.h"
+#include "reference/graph_stats.h"
 #include "util/rng.h"
 
 namespace power {
@@ -37,7 +38,7 @@ std::vector<std::vector<double>> RandomSims(uint64_t seed, size_t n,
 TEST(BruteForceBuilderTest, PaperExampleEdges) {
   PairGraph g = BuildPairGraph(BruteForceBuilder(), PaperExamplePairs());
   EXPECT_EQ(g.num_vertices(), 18u);
-  EXPECT_TRUE(g.IsAcyclic());
+  EXPECT_TRUE(IsAcyclic(g));
 
   auto idx = [](int a, int b) { return PaperExamplePairIndex(a, b); };
   auto edges = EdgeSet(g);
@@ -52,13 +53,13 @@ TEST(BruteForceBuilderTest, PaperExampleEdges) {
   EXPECT_TRUE(edges.count({idx(6, 7), idx(1, 2)}));
   // From the coloring walk-through: p10,11's descendants are exactly
   // {p27, p26, p34, p35, p89, p37}.
-  auto descendants = g.Descendants(idx(10, 11));
+  auto descendants = Descendants(g, idx(10, 11));
   std::vector<int> expected = {idx(2, 7), idx(2, 6), idx(3, 4),
                                idx(3, 5), idx(8, 9), idx(3, 7)};
   std::sort(expected.begin(), expected.end());
   EXPECT_EQ(descendants, expected);
   // And p56's ancestors are exactly {p46, p47, p57, p23, p45, p67, p13}.
-  auto ancestors = g.Ancestors(idx(5, 6));
+  auto ancestors = Ancestors(g, idx(5, 6));
   expected = {idx(4, 6), idx(4, 7), idx(5, 7), idx(2, 3),
               idx(4, 5), idx(6, 7), idx(1, 3)};
   std::sort(expected.begin(), expected.end());
@@ -92,7 +93,7 @@ TEST_P(BuilderEquivalence, QuickSortAndIndexMatchBruteForce) {
   auto expected = EdgeSet(brute);
   EXPECT_EQ(EdgeSet(quick), expected);
   EXPECT_EQ(EdgeSet(index), expected);
-  EXPECT_TRUE(brute.IsAcyclic());
+  EXPECT_TRUE(IsAcyclic(brute));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -147,13 +148,25 @@ TEST(BuildersTest, TotalOrderChainYieldsCompleteDag) {
   EXPECT_EQ(r.num_edges(), 45u);
 }
 
-TEST(RangeTreeBuilderTest, ExplicitDimensionsStillCorrect) {
-  auto sims = RandomSims(123, 40, 4, 3);
-  auto expected = EdgeSet(BruteForceBuilder().Build(sims));
-  for (int d1 = 0; d1 < 4; ++d1) {
-    for (int d2 = 0; d2 < 4; ++d2) {
-      PairGraph g = RangeTreeBuilder(d1, d2).Build(sims);
-      EXPECT_EQ(EdgeSet(g), expected) << "d1=" << d1 << " d2=" << d2;
+TEST(RangeTreeBuilderTest, EveryIndexedDimensionPairIsCorrect) {
+  // The builder indexes the two attributes with the most distinct values.
+  // Attribute d1 gets the finest grid and d2 the next finest, so every
+  // ordered pair (d1, d2) is the indexed one in turn.
+  constexpr size_t kAttrs = 4;
+  for (size_t d1 = 0; d1 < kAttrs; ++d1) {
+    for (size_t d2 = 0; d2 < kAttrs; ++d2) {
+      if (d1 == d2) continue;
+      Rng rng(123 + d1 * kAttrs + d2);
+      std::vector<std::vector<double>> sims(40, std::vector<double>(kAttrs));
+      for (auto& v : sims) {
+        for (size_t k = 0; k < kAttrs; ++k) {
+          const int grid = k == d1 ? 1000 : k == d2 ? 100 : 2;
+          v[k] = static_cast<double>(rng.UniformIndex(grid + 1)) / grid;
+        }
+      }
+      EXPECT_EQ(EdgeSet(RangeTreeBuilder().Build(sims)),
+                EdgeSet(BruteForceBuilder().Build(sims)))
+          << "d1=" << d1 << " d2=" << d2;
     }
   }
 }

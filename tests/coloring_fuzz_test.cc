@@ -5,6 +5,7 @@
 
 #include "graph/builder.h"
 #include "graph/coloring.h"
+#include "reference/graph_stats.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -51,7 +52,7 @@ void CheckInvariants(const PairGraph& graph, const ColoringState& state,
     }
     if (state.color(vi) == Color::kGreen) {
       bool witness = false;
-      for (int d : graph.Descendants(vi)) {
+      for (int d : Descendants(graph, vi)) {
         if (std::find(asked_green.begin(), asked_green.end(), d) !=
             asked_green.end()) {
           witness = true;
@@ -60,7 +61,7 @@ void CheckInvariants(const PairGraph& graph, const ColoringState& state,
       EXPECT_TRUE(witness) << "deduced-green " << vi << " has no witness";
     } else if (state.color(vi) == Color::kRed) {
       bool witness = false;
-      for (int a : graph.Ancestors(vi)) {
+      for (int a : Ancestors(graph, vi)) {
         if (std::find(asked_red.begin(), asked_red.end(), a) !=
             asked_red.end()) {
           witness = true;
@@ -153,8 +154,8 @@ TEST(ColoringFuzzTest, ParallelBuiltGraphsKeepPropagationInvariants) {
       state.ApplyAnswer(v, yes);
       EXPECT_EQ(state.color(v), yes ? Color::kGreen : Color::kRed)
           << builder->name();
-      auto ancestors = graph.Ancestors(v);
-      auto descendants = graph.Descendants(v);
+      auto ancestors = Ancestors(graph, v);
+      auto descendants = Descendants(graph, v);
       for (int a : ancestors) {
         EXPECT_EQ(state.color(a), yes ? Color::kGreen : Color::kUncolored)
             << builder->name() << " ancestor " << a << " of " << v;
@@ -219,8 +220,8 @@ TEST(ColoringFuzzTest, PropagationNeverTouchesIncomparableVertices) {
     int v = static_cast<int>(rng.UniformIndex(n));
     ColoringState state(&graph);
     state.ApplyAnswer(v, rng.Bernoulli(0.5));
-    auto ancestors = graph.Ancestors(v);
-    auto descendants = graph.Descendants(v);
+    auto ancestors = Ancestors(graph, v);
+    auto descendants = Descendants(graph, v);
     for (size_t u = 0; u < n; ++u) {
       int ui = static_cast<int>(u);
       if (ui == v) continue;

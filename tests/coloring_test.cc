@@ -10,12 +10,11 @@ namespace {
 
 // Chain 0 -> 1 -> 2 -> 3 with full closure edges, like the builders emit.
 PairGraph Chain4() {
-  PairGraph g(std::vector<std::vector<double>>(4, {0.0}));
+  EdgeList edges;
   for (int a = 0; a < 4; ++a) {
-    for (int b = a + 1; b < 4; ++b) g.AddEdge(a, b);
+    for (int b = a + 1; b < 4; ++b) edges.emplace_back(a, b);
   }
-  g.DedupEdges();
-  return g;
+  return PairGraph(4, {edges});
 }
 
 TEST(ColoringTest, StartsUncolored) {
@@ -87,13 +86,8 @@ TEST(ColoringTest, ConflictMajorityWins) {
   // Two parents of one child: both say RED -> child RED even after one
   // GREEN deduction from below is impossible here, so build a W shape:
   // parents 0,1 -> child 2; child 2 -> descendant 3.
-  PairGraph g(std::vector<std::vector<double>>(4, {0.0}));
-  g.AddEdge(0, 2);
-  g.AddEdge(1, 2);
-  g.AddEdge(2, 3);
-  g.AddEdge(0, 3);
-  g.AddEdge(1, 3);
-  g.DedupEdges();
+  EdgeList edges = {{0, 2}, {1, 2}, {2, 3}, {0, 3}, {1, 3}};
+  PairGraph g(4, {edges});
   ColoringState state(&g);
   state.ApplyAnswer(0, false);  // RED vote on 2 and 3
   state.ApplyAnswer(3, true);   // GREEN vote on 2 (ancestors of 3: 0,1,2)
@@ -186,7 +180,7 @@ TEST(ColoringTest, IncrementalCountersMatchScanUnderRandomAnswers) {
   Rng rng(2024);
   // Random layered DAG closed under transitivity (edges only go up in index,
   // so it is acyclic by construction).
-  PairGraph g(std::vector<std::vector<double>>(kN, {0.0}));
+  EdgeList edges;
   std::vector<std::vector<char>> reach(kN, std::vector<char>(kN, 0));
   for (int a = 0; a < kN; ++a) {
     for (int b = a + 1; b < kN; ++b) {
@@ -204,10 +198,10 @@ TEST(ColoringTest, IncrementalCountersMatchScanUnderRandomAnswers) {
   }
   for (int a = 0; a < kN; ++a) {
     for (int b = a + 1; b < kN; ++b) {
-      if (reach[a][b]) g.AddEdge(a, b);
+      if (reach[a][b]) edges.emplace_back(a, b);
     }
   }
-  g.DedupEdges();
+  PairGraph g(kN, {edges});
 
   ColoringState state(&g);
   auto check_against_scan = [&state]() {

@@ -40,12 +40,11 @@ void CheckCover(const PairGraph& graph, const std::vector<bool>& active,
 }
 
 PairGraph ClosedChain(int n) {
-  PairGraph g(std::vector<std::vector<double>>(n, {0.0}));
+  EdgeList edges;
   for (int a = 0; a < n; ++a) {
-    for (int b = a + 1; b < n; ++b) g.AddEdge(a, b);
+    for (int b = a + 1; b < n; ++b) edges.emplace_back(a, b);
   }
-  g.DedupEdges();
-  return g;
+  return PairGraph(n, {edges});
 }
 
 TEST(PathCoverTest, ChainIsOnePath) {
@@ -57,8 +56,7 @@ TEST(PathCoverTest, ChainIsOnePath) {
 }
 
 TEST(PathCoverTest, AntichainIsAllSingletons) {
-  PairGraph g(std::vector<std::vector<double>>(5, {0.0}));
-  g.DedupEdges();
+  PairGraph g(5, {});
   auto paths = MinimumPathCover(g);
   EXPECT_EQ(paths.size(), 5u);
   CheckCover(g, std::vector<bool>(5, true), paths);
@@ -66,12 +64,8 @@ TEST(PathCoverTest, AntichainIsAllSingletons) {
 
 TEST(PathCoverTest, TwoChains) {
   // Chains {0,1,2} and {3,4}, fully closed, no cross edges.
-  PairGraph g(std::vector<std::vector<double>>(5, {0.0}));
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 2);
-  g.AddEdge(0, 2);
-  g.AddEdge(3, 4);
-  g.DedupEdges();
+  EdgeList edges = {{0, 1}, {1, 2}, {0, 2}, {3, 4}};
+  PairGraph g(5, {edges});
   auto paths = MinimumPathCover(g);
   EXPECT_EQ(paths.size(), 2u);
   CheckCover(g, std::vector<bool>(5, true), paths);

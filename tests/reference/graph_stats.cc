@@ -1,11 +1,87 @@
 #include "reference/graph_stats.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "select/path_cover.h"
 #include "util/check.h"
 
 namespace power {
+namespace {
+
+// Reachability over one adjacency direction; ascending output.
+template <typename AdjFn>
+std::vector<int> Reachable(size_t n, int start, AdjFn adj) {
+  std::vector<int> out;
+  std::vector<bool> visited(n, false);
+  std::vector<int> stack = {start};
+  visited[start] = true;
+  while (!stack.empty()) {
+    int v = stack.back();
+    stack.pop_back();
+    for (int u : adj(v)) {
+      if (!visited[u]) {
+        visited[u] = true;
+        out.push_back(u);
+        stack.push_back(u);
+      }
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+}  // namespace
+
+std::vector<int> Descendants(const PairGraph& graph, int v) {
+  POWER_CHECK(v >= 0 && static_cast<size_t>(v) < graph.num_vertices());
+  return Reachable(graph.num_vertices(), v,
+                   [&](int u) { return graph.children(u); });
+}
+
+std::vector<int> Ancestors(const PairGraph& graph, int v) {
+  POWER_CHECK(v >= 0 && static_cast<size_t>(v) < graph.num_vertices());
+  return Reachable(graph.num_vertices(), v,
+                   [&](int u) { return graph.parents(u); });
+}
+
+std::vector<std::vector<int>> TopologicalLevels(
+    const PairGraph& graph, const std::vector<bool>& active) {
+  const size_t n = graph.num_vertices();
+  POWER_CHECK(active.size() == n);
+  std::vector<int> indegree(n, 0);
+  std::vector<int> frontier;
+  for (size_t v = 0; v < n; ++v) {
+    if (!active[v]) continue;
+    for (int p : graph.parents(static_cast<int>(v))) {
+      if (active[p]) ++indegree[v];
+    }
+    if (indegree[v] == 0) frontier.push_back(static_cast<int>(v));
+  }
+  std::vector<std::vector<int>> levels;
+  while (!frontier.empty()) {
+    std::sort(frontier.begin(), frontier.end());
+    levels.push_back(frontier);
+    std::vector<int> next;
+    for (int v : frontier) {
+      for (int c : graph.children(v)) {
+        if (active[c] && --indegree[c] == 0) next.push_back(c);
+      }
+    }
+    frontier = std::move(next);
+  }
+  return levels;
+}
+
+bool IsAcyclic(const PairGraph& graph) {
+  const size_t n = graph.num_vertices();
+  size_t covered = 0;
+  for (const auto& level :
+       TopologicalLevels(graph, std::vector<bool>(n, true))) {
+    covered += level.size();
+  }
+  return covered == n;
+}
 
 GraphStats ComputeGraphStats(const PairGraph& graph) {
   GraphStats stats;
@@ -21,7 +97,7 @@ GraphStats ComputeGraphStats(const PairGraph& graph) {
                        : static_cast<double>(stats.edges) / total_pairs;
 
   stats.height =
-      graph.TopologicalLevels(std::vector<bool>(stats.vertices, true)).size();
+      TopologicalLevels(graph, std::vector<bool>(stats.vertices, true)).size();
   stats.width = MinimumPathCover(graph).size();
   for (size_t v = 0; v < stats.vertices; ++v) {
     if (graph.parents(static_cast<int>(v)).empty()) ++stats.sources;

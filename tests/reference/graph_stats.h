@@ -10,6 +10,21 @@
 
 namespace power {
 
+/// All vertices reachable from v via child edges (v excluded), ascending.
+std::vector<int> Descendants(const PairGraph& graph, int v);
+/// All vertices reachable from v via parent edges (v excluded), ascending.
+std::vector<int> Ancestors(const PairGraph& graph, int v);
+
+/// Kahn peeling over the subgraph induced by `active` vertices: level L1 =
+/// zero in-degree vertices, L2 = zero in-degree after removing L1, ...
+/// (paper §5.3.2). `active.size()` must equal graph.num_vertices(). The
+/// reference for TopoSortSelector's incremental peel.
+std::vector<std::vector<int>> TopologicalLevels(
+    const PairGraph& graph, const std::vector<bool>& active);
+
+/// True iff the edge relation has no directed cycle.
+bool IsAcyclic(const PairGraph& graph);
+
 /// Structural statistics of a partial-order graph — the quantities the
 /// paper's analysis sections reason about (comparability fraction in
 /// Appendix E.1.1, height = topological levels, width B of §5.2).

@@ -13,6 +13,7 @@
 #include "data/paper_example.h"
 #include "graph/builder.h"
 #include "graph/coloring.h"
+#include "reference/graph_stats.h"
 #include "select/selector.h"
 #include "sim/pair.h"
 #include "util/parallel.h"
@@ -20,7 +21,7 @@
 
 // Loop-trace differential test for the incremental ask-and-color path.
 //
-// The CSR freeze + incremental selection rewrite must be *byte-identical in
+// The CSR graph + incremental selection rewrite must be *byte-identical in
 // output*: the same question sequence and the same final coloring as the
 // historical scan-based implementation, at any thread count. This file keeps
 // a faithful copy of the historical reference — the deque-based
@@ -36,7 +37,7 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Legacy reference: Hopcroft-Karp exactly as the historical implementation
-// (ragged adjacency appended in AddEdge order, deque BFS, recursive DFS).
+// (ragged adjacency appended in insertion order, deque BFS, recursive DFS).
 // ---------------------------------------------------------------------------
 
 constexpr int kLegacyInf = std::numeric_limits<int>::max();
@@ -50,7 +51,7 @@ class LegacyHopcroftKarp {
         match_right_(num_right, -1),
         dist_(num_left, 0) {}
 
-  void AddEdge(int l, int r) { adj_[l].push_back(r); }
+  void AddArc(int l, int r) { adj_[l].push_back(r); }
 
   int Solve() {
     int size = 0;
@@ -120,7 +121,7 @@ std::vector<std::vector<int>> LegacyMinimumPathCover(
   for (int v = 0; v < n; ++v) {
     if (!active[v]) continue;
     for (int c : graph.children(v)) {
-      if (active[c]) matcher.AddEdge(v, c);
+      if (active[c]) matcher.AddArc(v, c);
     }
   }
   matcher.Solve();
@@ -167,12 +168,12 @@ class LegacyColoringState {
     asked_[v] = true;
     color_[v] = match ? Color::kGreen : Color::kRed;
     if (match) {
-      for (int a : graph_->Ancestors(v)) {
+      for (int a : Ancestors(*graph_, v)) {
         ++green_votes_[a];
         Recompute(a);
       }
     } else {
-      for (int d : graph_->Descendants(v)) {
+      for (int d : Descendants(*graph_, v)) {
         ++red_votes_[d];
         Recompute(d);
       }
@@ -244,7 +245,7 @@ class LegacySelector {
       case SelectorKind::kTopoSort: {
         auto [active, any] = ActiveMask(state);
         if (!any) return {};
-        auto levels = state.graph().TopologicalLevels(active);
+        auto levels = TopologicalLevels(state.graph(), active);
         return levels[(levels.size() - 1) / 2];
       }
     }
@@ -306,8 +307,9 @@ std::vector<std::vector<double>> RandomSims(int n, int attrs, uint64_t seed) {
   return sims;
 }
 
-void RunLegacyLoop(const PairGraph& graph, SelectorKind kind, double tau,
-                   LoopTrace* trace) {
+void RunLegacyLoop(const PairGraph& graph,
+                   const std::vector<std::vector<double>>& sims,
+                   SelectorKind kind, double tau, LoopTrace* trace) {
   LegacyColoringState state(&graph);
   LegacySelector selector(kind, kSelectorSeed);
   int rounds = 0;
@@ -318,7 +320,7 @@ void RunLegacyLoop(const PairGraph& graph, SelectorKind kind, double tau,
     // Whole batch is one crowd round: gather all answers, then apply in
     // batch order (mirrors PowerFramework::RunOnPairs).
     std::vector<bool> answers;
-    for (int v : batch) answers.push_back(OracleMatch(graph.sims(v), tau));
+    for (int v : batch) answers.push_back(OracleMatch(sims[v], tau));
     for (size_t b = 0; b < batch.size(); ++b) {
       state.ApplyAnswer(batch[b], answers[b]);
     }
@@ -329,8 +331,9 @@ void RunLegacyLoop(const PairGraph& graph, SelectorKind kind, double tau,
   }
 }
 
-void RunIncrementalLoop(const PairGraph& graph, SelectorKind kind, double tau,
-                        LoopTrace* trace) {
+void RunIncrementalLoop(const PairGraph& graph,
+                        const std::vector<std::vector<double>>& sims,
+                        SelectorKind kind, double tau, LoopTrace* trace) {
   ColoringState state(&graph);
   std::unique_ptr<QuestionSelector> selector =
       MakeSelector(kind, kSelectorSeed);
@@ -340,7 +343,7 @@ void RunIncrementalLoop(const PairGraph& graph, SelectorKind kind, double tau,
     std::vector<int> batch = selector->NextBatch(state);
     ASSERT_FALSE(batch.empty());
     std::vector<bool> answers;
-    for (int v : batch) answers.push_back(OracleMatch(graph.sims(v), tau));
+    for (int v : batch) answers.push_back(OracleMatch(sims[v], tau));
     for (size_t b = 0; b < batch.size(); ++b) {
       state.ApplyAnswer(batch[b], answers[b]);
     }
@@ -390,7 +393,7 @@ TEST_P(SelectionLoopTrace, IncrementalMatchesLegacyAtEveryThreadCount) {
     {
       ScopedNumThreads scope(1);
       PairGraph graph = MakeBuilder(builder)->Build(sims);
-      RunLegacyLoop(graph, selector, kTau, &legacy);
+      RunLegacyLoop(graph, sims, selector, kTau, &legacy);
       if (testing::Test::HasFatalFailure()) return;
     }
     ASSERT_FALSE(legacy.rounds.empty());
@@ -402,7 +405,7 @@ TEST_P(SelectionLoopTrace, IncrementalMatchesLegacyAtEveryThreadCount) {
       PairGraph graph = MakeBuilder(builder)->Build(sims);
       ASSERT_EQ(graph.num_vertices(), static_cast<size_t>(kVertices));
       LoopTrace incremental;
-      RunIncrementalLoop(graph, selector, kTau, &incremental);
+      RunIncrementalLoop(graph, sims, selector, kTau, &incremental);
       if (testing::Test::HasFatalFailure()) return;
       EXPECT_EQ(incremental.rounds, legacy.rounds)
           << "question sequence diverged at " << threads

@@ -37,12 +37,11 @@ LoopResult RunLoop(QuestionSelector* selector,
 }
 
 PairGraph ClosedChain(int n) {
-  PairGraph g(std::vector<std::vector<double>>(n, {0.0}));
+  EdgeList edges;
   for (int a = 0; a < n; ++a) {
-    for (int b = a + 1; b < n; ++b) g.AddEdge(a, b);
+    for (int b = a + 1; b < n; ++b) edges.emplace_back(a, b);
   }
-  g.DedupEdges();
-  return g;
+  return PairGraph(n, {edges});
 }
 
 // Truth on a chain: the first `green_prefix` vertices are matches. This is
@@ -92,8 +91,7 @@ TEST_P(AllSelectors, ColorsPaperExampleCorrectly) {
 }
 
 TEST_P(AllSelectors, HandlesAntichain) {
-  PairGraph g(std::vector<std::vector<double>>(7, {0.0}));
-  g.DedupEdges();
+  PairGraph g(7, {});
   ColoringState state(&g);
   auto selector = MakeSelector(GetParam(), 13);
   auto result =
@@ -160,15 +158,15 @@ TEST(MultiPathTest, ParallelismBeatsSinglePathIterations) {
   // iteration, SinglePath must walk chains one at a time.
   const int kChains = 6;
   const int kLen = 16;
-  PairGraph g(std::vector<std::vector<double>>(kChains * kLen, {0.0}));
+  EdgeList edges;
   for (int c = 0; c < kChains; ++c) {
     for (int a = 0; a < kLen; ++a) {
       for (int b = a + 1; b < kLen; ++b) {
-        g.AddEdge(c * kLen + a, c * kLen + b);
+        edges.emplace_back(c * kLen + a, c * kLen + b);
       }
     }
   }
-  g.DedupEdges();
+  PairGraph g(kChains * kLen, {edges});
   auto truth = [&](int v) { return (v % kLen) < 5; };
 
   ColoringState s1(&g);
